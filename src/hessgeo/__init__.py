@@ -34,16 +34,14 @@ from .jets import Jet, Jet3
 from .report import CheckResult, VerificationReport, __version__
 from .tensors import (
     AffineAutomorphism,
-    EndomorphismField,
-    MetricField,
-    TwoFormField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
-    lie_derivative_2form,
     lie_derivative_endomorphism,
     lie_derivative_metric,
     nijenhuis,
-    pullback_2form,
+    pullback_defect,
     pullback_metric,
 )
 from .structures import (

@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from . import cones as cones_mod
 from . import cmap as cmap_mod
 from . import rmap as rmap_mod
-from .errors import ConfigError, HessgeoError, UnknownPreset
+from .errors import ConfigError, DomainError, HessgeoError, UnknownPreset
 from .report import CheckResult, VerificationReport, __version__
 from .structures import (
     Domain,
@@ -27,20 +28,21 @@ from .structures import (
     check_selfsimilar,
     field_from_config,
     make_hessian_structure,
-    norm_squared,
 )
 from .expressions import parse_expression
 from .tensors import (
-    MetricField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     is_positive_definite,
-    metric_derivative,
-    pullback_metric,
+    pullback_defect,
+    symmetry_defect,
 )
 
 PRESETS = cones_mod.PRESET_NAMES + cmap_mod.SK_PRESET_NAMES
-GEOMETRY_NAMES = PRESETS + ("noncone_counterexample",)
+COUNTEREXAMPLES = ("noncone_counterexample",)
+GEOMETRY_NAMES = PRESETS + COUNTEREXAMPLES
 
 SUITE_NAMES = ("hessian", "rmap", "selfsimilar", "cone", "cmap", "conformal", "all")
 
@@ -65,16 +67,25 @@ def noncone_structure(seed=42, samples=100) -> HessianStructure:
         domain=Domain((), np.array([[0.25, 1.0], [0.25, 1.0]])),
         seed=seed,
         samples=samples,
-        metric=MetricField.from_components(comps),
+        metric=TensorField.from_components(comps),
     )
 
 
+def _special_kahler(sk):
+    """The cubic prepotential is not homogeneous of degree 2, so sk_cubic has
+    no linear homothetic field and no conformal suite."""
+    return ("sk" if sk.name == "sk_cubic" else "sk_homothetic"), sk
+
+
 def resolve_geometry(name, seed, samples):
-    """Returns (kind, object) with kind in {cone, sk, hessian, noncone}."""
+    """Returns (kind, object); the kind, a key of KINDS, fixes the suites
+    and tensors the geometry offers."""
     if name in cones_mod.PRESET_NAMES:
         return "cone", cones_mod.preset(name)
     if name in cmap_mod.SK_PRESET_NAMES:
-        return "sk", cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
+        return _special_kahler(
+            cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
+        )
     if name == "noncone_counterexample":
         return "noncone", noncone_structure(seed=seed, samples=samples)
     if name.endswith(".json"):
@@ -83,12 +94,14 @@ def resolve_geometry(name, seed, samples):
         config.setdefault("seed", seed)
         config.setdefault("samples", samples)
         if "F" in config:
-            return "sk", cmap_mod.prepotential_from_config(config)
+            return _special_kahler(cmap_mod.prepotential_from_config(config))
         if "I" in config:
-            return "sk", cmap_mod.special_kahler_from_config(config)
+            return _special_kahler(cmap_mod.special_kahler_from_config(config))
         structure = make_hessian_structure(config)
         xi = field_from_config(config, structure.dim)
-        return "hessian", (structure, xi)
+        if xi is None:
+            return "hessian", structure
+        return "selfsimilar", SelfsimilarHessianStructure(structure, xi)
     raise UnknownPreset(name)
 
 
@@ -97,29 +110,22 @@ def resolve_geometry(name, seed, samples):
 
 def hessian_suite(structure: HessianStructure, samples=None) -> List[CheckResult]:
     points = structure.sample_points(samples)
-    res_pd = 0.0
-    res_sym = 0.0
+    res_pd, res_sym = Residual(), Residual()
     for p in points:
-        g = structure.metric(p)
-        res_pd = max(res_pd, float(max(0.0, -np.min(np.linalg.eigvalsh(g)))))
-        D = metric_derivative(structure.metric, p)
-        res_sym = max(
-            res_sym,
-            float(np.max(np.abs(D - np.transpose(D, (1, 0, 2))))),
-            float(np.max(np.abs(D - np.transpose(D, (2, 1, 0))))),
-        )
+        res_pd.add(-np.min(np.linalg.eigvalsh(structure.metric(p))))
+        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
     return [
         CheckResult(
             "hessian_positive_definite",
             "the metric is positive definite on the sampled domain",
-            res_pd,
+            res_pd.value,
             1e-10,
             len(points),
         ),
         CheckResult(
             "hessian_symmetry",
             "d_k g_ij is totally symmetric (g is locally a Hessian)",
-            res_sym,
+            res_sym.value,
             1e-8,
             len(points),
         ),
@@ -192,24 +198,17 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckR
     con = cone.hessian_structure("con", seed=seed, samples=samples)
     full = cones_mod.automorphism_samples(cone, 10, seed=seed, unimodular=False)
     unim = cones_mod.automorphism_samples(cone, 10, seed=seed, unimodular=True)
-    res_full = 0.0
-    res_unim = 0.0
-    for structure, autos, which in ((can, full, "full"), (con, unim, "unim")):
-        res = 0.0
+    res_full, res_unim = Residual(), Residual()
+    for structure, autos, res in ((can, full, res_full), (con, unim, res_unim)):
         for T in autos:
             for p in structure.sample_points(20, salt=2):
-                g = structure.metric(p)
-                defect = np.max(np.abs(pullback_metric(T, structure.metric, p) - g))
-                res = max(res, float(defect / np.max(np.abs(g))))
-        if which == "full":
-            res_full = res
-        else:
-            res_unim = res
+                defect, scale = pullback_defect(T, structure.metric, p)
+                res.add(defect / scale)
     entries.append(
         CheckResult(
             "cone_full_invariance",
             "g_can is invariant under the sampled full automorphism group",
-            res_full,
+            res_full.value,
             1e-8,
             20 * len(full),
         )
@@ -218,7 +217,7 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckR
         CheckResult(
             "cone_unimodular_invariance",
             "g_con is invariant under the sampled unimodular automorphisms",
-            res_unim,
+            res_unim.value,
             1e-8,
             20 * len(unim),
         )
@@ -227,16 +226,15 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckR
     # defect of g_con equals 1 - 2^(-n), comfortably above 0.5
     expected = 1.0 - 2.0 ** (-cone.dim)
     T = cones_mod.AffineAutomorphism.linear(2.0 * np.eye(cone.dim))
-    measured = 0.0
+    measured = Residual()
     for p in con.sample_points(20, salt=4):
-        g = con.metric(p)
-        defect = np.max(np.abs(pullback_metric(T, con.metric, p) - g))
-        measured = max(measured, float(defect / np.max(np.abs(g))))
+        defect, scale = pullback_defect(T, con.metric, p)
+        measured.add(defect / scale)
     entries.append(
         CheckResult(
             "cone_negative_control",
             "non-unimodular scaling defect of g_con equals 1 - 2^(-n) > 0.5 exactly",
-            abs(measured - expected),
+            abs(measured.value - expected),
             1e-8,
             20,
         )
@@ -258,7 +256,7 @@ def cone_conformal_suite(
     # orbit reachability from the sampled generators only: informational,
     # transitivity itself is not decidable from samples
     points = ss.base.sample_points(10, salt=13)
-    reach = 0.0
+    reach = Residual()
     for p in points:
         images = np.array([T(p) for T in unim])
         best = np.inf
@@ -266,13 +264,13 @@ def cone_conformal_suite(
             if np.allclose(q, p):
                 continue
             best = min(best, float(np.min(np.linalg.norm(images - q, axis=1))))
-        reach = max(reach, best)
+        reach.add(best)
     entries.append(
         CheckResult(
             "orbit_reachability",
             "closest approach between sampled point pairs under one step of "
             "the sampled unimodular generators",
-            reach,
+            reach.value,
             0.0,
             len(points),
             status="informational",
@@ -312,11 +310,6 @@ def _sk_automorphisms(sk, seed):
 
 
 def sk_conformal_suite(sk, samples=None) -> List[CheckResult]:
-    if sk.name == "sk_cubic":
-        raise ConfigError(
-            "no linear homothetic field: the cubic prepotential is not "
-            "homogeneous of degree 2"
-        )
     chk = cmap_mod.ConformalHyperKahler(
         sk, VectorFieldSpec.from_affine(np.eye(sk.dim))
     )
@@ -325,76 +318,163 @@ def sk_conformal_suite(sk, samples=None) -> List[CheckResult]:
     return entries
 
 
-# -- suite dispatch --------------------------------------------------------
+# -- the table of geometry kinds ------------------------------------------
 
 
-def applicable_suites(kind, obj=None):
-    if kind == "cone":
-        return ("hessian", "rmap", "selfsimilar", "cone", "conformal")
-    if kind == "sk":
-        if obj is not None and obj.name == "sk_cubic":
-            return ("cmap",)
-        return ("cmap", "conformal")
-    if kind == "noncone":
-        return ("hessian", "rmap")
-    structure, xi = obj
-    if xi is None:
-        return ("hessian", "rmap")
-    return ("hessian", "rmap", "selfsimilar", "conformal")
+@dataclass(frozen=True)
+class Kind:
+    """What one kind of geometry offers.
+
+    `suites` maps each applicable suite, in run order, to a runner
+    (obj, samples, seed, fd) -> entries; the runners of `fd_suites` honour
+    `fd`, so `--fd-check` reruns them.  `tensors` maps each `eval` tensor to
+    (obj, point, seed) -> matrix, where the tensors of `base_tensors` take a
+    base point and the others a point (x, y) of the bundle.  `inside` tells
+    whether a base point lies in the geometry's domain.
+    """
+
+    suites: Dict[str, Callable]
+    fd_suites: Tuple[str, ...]
+    tensors: Dict[str, Callable]
+    base_tensors: Tuple[str, ...]
+    inside: Callable
+
+
+def _cone_rmap(cone, samples, seed, fd):
+    autos = cones_mod.automorphism_samples(cone, 5, seed=seed)
+    rng = np.random.default_rng([seed, 11])
+    shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in autos]
+    return rmap_suite(cone.hessian_structure("can", seed=seed), samples, autos, shifts, fd=fd)
+
+
+def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)):
+    """A kind whose geometry is a Hessian structure, `structure_of(obj, seed)`:
+    the hessian and rmap suites and the tensors g, gr and omega, plus extras."""
+
+    def lift(obj, seed):
+        return rmap_mod.build_kahler_lift(structure_of(obj, seed))
+
+    return Kind(
+        suites={
+            "hessian": lambda obj, samples, seed, fd: hessian_suite(
+                structure_of(obj, seed), samples
+            ),
+            "rmap": lambda obj, samples, seed, fd: rmap_suite(
+                structure_of(obj, seed), samples, fd=fd
+            ),
+            **(suites or {}),
+        },
+        fd_suites=fd_suites,
+        tensors={
+            "g": lambda obj, x, seed: structure_of(obj, seed).metric(x),
+            "gr": lambda obj, p, seed: lift(obj, seed).metric(p),
+            "omega": lambda obj, p, seed: lift(obj, seed).omega(p),
+            **(tensors or {}),
+        },
+        base_tensors=base_tensors,
+        inside=lambda obj, x: obj.domain.contains(x, margin=0.0),
+    )
+
+
+def _frame_tensor(name):
+    """A matrix of the hyper-Kahler frame at the point (q, p) of T*M."""
+    return lambda sk, p, seed: getattr(
+        cmap_mod.build_hyperkahler(sk, p[: sk.dim], p[sk.dim :]), name
+    )
+
+
+def _conformal_metric(sk, p, seed):
+    chk = cmap_mod.ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+    return _frame_tensor("gc")(sk, p, seed) / chk.norm_squared(p[: sk.dim])
+
+
+def _sk_kind(suites):
+    return Kind(
+        suites={
+            "cmap": lambda sk, samples, seed, fd: cmap_suite(sk, samples, seed=seed),
+            **suites,
+        },
+        fd_suites=(),
+        tensors={
+            "g": lambda sk, q, seed: sk.g(q),
+            "I": lambda sk, q, seed: sk.I(q),
+            "omega": lambda sk, q, seed: sk.omega(q),
+            **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
+            "g_chk": _conformal_metric,
+        },
+        base_tensors=("g", "I", "omega"),
+        # a special Kahler structure lives where its metric (Im F'') is positive definite
+        inside=lambda sk, q: is_positive_definite(sk.g(q)),
+    )
+
+
+KINDS = {
+    "cone": _hessian_kind(
+        lambda cone, seed: cone.hessian_structure("can", seed=seed),
+        suites={
+            "rmap": _cone_rmap,
+            "selfsimilar": lambda cone, samples, seed, fd: selfsimilar_suite(
+                cone.selfsimilar_structure(seed=seed), samples, fd=fd
+            ),
+            "cone": lambda cone, samples, seed, fd: cone_suite(cone, samples, seed=seed),
+            "conformal": lambda cone, samples, seed, fd: cone_conformal_suite(
+                cone, samples, seed=seed, fd=fd
+            ),
+        },
+        fd_suites=("rmap", "selfsimilar", "conformal"),
+        tensors={
+            "gcan": lambda cone, x, seed: cone.hessian_structure("can", seed=seed).metric(x),
+            "gcon": lambda cone, x, seed: cone.hessian_structure("con", seed=seed).metric(x),
+            "omega_ck": lambda cone, p, seed: rmap_mod.build_conformal_lift(
+                cone.selfsimilar_structure(seed=seed)
+            ).omega_ck()(p),
+        },
+        base_tensors=("g", "gcan", "gcon"),
+    ),
+    "noncone": _hessian_kind(
+        lambda structure, seed: structure,
+        suites={
+            "rmap": lambda structure, samples, seed, fd: rmap_suite(
+                structure, samples, fd=fd, noncone_point=NONCONE_POINT
+            ),
+        },
+    ),
+    "hessian": _hessian_kind(lambda structure, seed: structure),
+    "selfsimilar": _hessian_kind(
+        lambda ss, seed: ss.base,
+        suites={
+            "selfsimilar": lambda ss, samples, seed, fd: selfsimilar_suite(
+                ss.validate(), samples, fd=fd
+            ),
+            "conformal": lambda ss, samples, seed, fd: rmap_mod.check_conformal_invariance(
+                rmap_mod.build_conformal_lift(ss.validate()), samples, fd=fd
+            ),
+        },
+        fd_suites=("rmap", "selfsimilar", "conformal"),
+    ),
+    "sk": _sk_kind({}),
+    "sk_homothetic": _sk_kind(
+        {"conformal": lambda sk, samples, seed, fd: sk_conformal_suite(sk, samples)}
+    ),
+}
+
+
+def applicable_suites(kind):
+    return tuple(KINDS[kind].suites)
 
 
 def run_suite(kind, obj, suite, samples, seed, fd=False):
-    if kind == "cone":
-        cone = obj
-        if suite == "hessian":
-            return hessian_suite(cone.hessian_structure("can", seed=seed), samples)
-        if suite == "rmap":
-            can = cone.hessian_structure("can", seed=seed)
-            autos = cones_mod.automorphism_samples(cone, 5, seed=seed)
-            rng = np.random.default_rng([seed, 11])
-            shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in autos]
-            return rmap_suite(can, samples, autos, shifts, fd=fd)
-        if suite == "selfsimilar":
-            return selfsimilar_suite(
-                cone.selfsimilar_structure(seed=seed), samples, fd=fd
-            )
-        if suite == "cone":
-            return cone_suite(cone, samples, seed=seed)
-        if suite == "conformal":
-            return cone_conformal_suite(cone, samples, seed=seed, fd=fd)
-    elif kind == "sk":
-        if suite == "cmap":
-            return cmap_suite(obj, samples, seed=seed)
-        if suite == "conformal":
-            return sk_conformal_suite(obj, samples)
-    elif kind == "noncone":
-        if suite == "hessian":
-            return hessian_suite(obj, samples)
-        if suite == "rmap":
-            return rmap_suite(obj, samples, fd=fd, noncone_point=NONCONE_POINT)
-    else:
-        structure, xi = obj
-        if suite == "hessian":
-            return hessian_suite(structure, samples)
-        if suite == "rmap":
-            return rmap_suite(structure, samples, fd=fd)
-        if suite == "selfsimilar":
-            return selfsimilar_suite(
-                SelfsimilarHessianStructure(structure, xi).validate(), samples, fd=fd
-            )
-        if suite == "conformal":
-            ss = SelfsimilarHessianStructure(structure, xi).validate()
-            cl = rmap_mod.build_conformal_lift(ss)
-            return rmap_mod.check_conformal_invariance(cl, samples, fd=fd)
-    raise ConfigError(f"suite {suite!r} does not apply to this geometry")
-
-
-FD_CAPABLE = ("rmap", "selfsimilar", "conformal")
+    runner = KINDS[kind].suites.get(suite)
+    if runner is None:
+        raise ConfigError(f"suite {suite!r} does not apply to this geometry")
+    return runner(obj, samples, seed, fd)
 
 
 def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
+    if samples is not None and samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
     kind, obj = resolve_geometry(name, seed, samples or 100)
-    available = applicable_suites(kind, obj)
+    available = applicable_suites(kind)
     if "all" in suites:
         selected = available
     else:
@@ -406,7 +486,7 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
     for suite in selected:
         entries = run_suite(kind, obj, suite, samples, seed)
         report.extend(entries)
-        if fd_check and suite in FD_CAPABLE and kind != "sk":
+        if fd_check and suite in KINDS[kind].fd_suites:
             fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples, seed, fd=True)}
             for entry in entries:
                 twin = fd_entries.get(entry.check_id)
@@ -447,63 +527,20 @@ EVAL_TENSORS = (
 
 def eval_tensor(name, tensor, point, seed=42):
     kind, obj = resolve_geometry(name, seed, 100)
+    spec = KINDS[kind]
     point = np.asarray(point, dtype=float)
-    if kind == "sk":
-        n = obj.dim
-        base_tensors = ("g", "I", "omega")
-    elif kind == "cone":
-        n = obj.dim
-        base_tensors = ("g", "gcan", "gcon")
-    else:
-        n = (obj if kind == "noncone" else obj[0]).dim
-        base_tensors = ("g",)
-    if tensor in base_tensors:
+    n = obj.dim
+    if tensor in spec.base_tensors:
         if len(point) != n:
             raise ConfigError(f"point must have {n} coordinates")
     else:
         point = _pad_fiber(point, n)
-    if kind == "cone":
-        cone = obj
-        n = cone.dim
-        if tensor in ("g", "gcan"):
-            return cone.hessian_structure("can", seed=seed).metric(point)
-        if tensor == "gcon":
-            return cone.hessian_structure("con", seed=seed).metric(point)
-        if tensor in ("gr", "omega"):
-            lift = rmap_mod.build_kahler_lift(cone.hessian_structure("can", seed=seed))
-            p = _pad_fiber(point, n)
-            return lift.metric(p) if tensor == "gr" else lift.omega(p)
-        if tensor == "omega_ck":
-            cl = rmap_mod.build_conformal_lift(cone.selfsimilar_structure(seed=seed))
-            return cl.omega_ck()(_pad_fiber(point, n))
-    elif kind == "sk":
-        sk = obj
-        n = sk.dim
-        if tensor == "g":
-            return sk.g(point)
-        if tensor == "I":
-            return sk.I(point)
-        if tensor == "omega":
-            return sk.omega(point)
-        if tensor in ("gc", "I1", "I2", "I3", "g_chk"):
-            p = _pad_fiber(point, n)
-            frame = cmap_mod.build_hyperkahler(sk, p[:n], p[n:])
-            if tensor == "g_chk":
-                chk = cmap_mod.ConformalHyperKahler(
-                    sk, VectorFieldSpec.from_affine(np.eye(n))
-                )
-                return frame.gc / chk.norm_squared(p[:n])
-            return getattr(frame, {"gc": "gc", "I1": "I1", "I2": "I2", "I3": "I3"}[tensor])
-    else:
-        structure = obj if kind == "noncone" else obj[0]
-        n = structure.dim
-        if tensor == "g":
-            return structure.metric(point)
-        if tensor in ("gr", "omega"):
-            lift = rmap_mod.build_kahler_lift(structure)
-            p = _pad_fiber(point, n)
-            return lift.metric(p) if tensor == "gr" else lift.omega(p)
-    raise ConfigError(f"tensor {tensor!r} is not available for geometry {name!r}")
+    evaluate = spec.tensors.get(tensor)
+    if evaluate is None:
+        raise ConfigError(f"tensor {tensor!r} is not available for geometry {name!r}")
+    if not spec.inside(obj, point[:n]):
+        raise DomainError(f"point {point[:n].tolist()} lies outside the domain of {name!r}")
+    return evaluate(obj, point, seed)
 
 
 def _pad_fiber(point, n):
@@ -542,7 +579,10 @@ def build_parser():
         "--suite", action="append", default=None, choices=SUITE_NAMES,
         help="suite to run (repeatable; default: all applicable)",
     )
-    check.add_argument("--samples", type=int, default=None)
+    check.add_argument(
+        "--samples", type=int, default=None,
+        help="sample points per check, at least 1 (default: each check's own)",
+    )
     check.add_argument("--seed", type=int, default=42)
     check.add_argument(
         "--tol", action="append", default=[], metavar="ID=VALUE",
@@ -558,7 +598,10 @@ def build_parser():
     ev = sub.add_parser("eval", help="print one tensor at a point")
     ev.add_argument("geometry")
     ev.add_argument("tensor", choices=EVAL_TENSORS)
-    ev.add_argument("--at", required=True, help="comma-separated coordinates")
+    ev.add_argument(
+        "--at", required=True,
+        help="comma-separated coordinates; write a leading minus as --at=-1,-1",
+    )
     ev.add_argument("--seed", type=int, default=42)
     ev.add_argument("--json", action="store_true")
     return parser
@@ -587,7 +630,7 @@ def main(argv=None):
                     json.dumps(
                         {
                             "presets": list(PRESETS),
-                            "counterexamples": ["noncone_counterexample"],
+                            "counterexamples": list(COUNTEREXAMPLES),
                             "suites": list(SUITE_NAMES),
                         },
                         sort_keys=True,
@@ -598,7 +641,7 @@ def main(argv=None):
                 print("suites: " + " ".join(SUITE_NAMES))
             else:
                 print("presets:         " + " ".join(PRESETS))
-                print("counterexamples: noncone_counterexample")
+                print("counterexamples: " + " ".join(COUNTEREXAMPLES))
                 print("suites:          " + " ".join(SUITE_NAMES))
             return 0
         if args.command == "check":

@@ -22,7 +22,7 @@ xi_2 = (0, w A w^{-1} p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,17 +40,18 @@ from .expressions import ScalarExpression, eval_complex, parse_expression
 from .report import CheckResult
 from .tensors import (
     AffineAutomorphism,
-    EndomorphismField,
-    MetricField,
-    TwoFormField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     fd_gradient,
     is_positive_definite,
     lie_derivative_endomorphism,
     lie_derivative_metric,
-    metric_derivative,
     nijenhuis,
+    pullback_defect,
+    standard_symplectic,
+    symmetry_defect,
 )
 
 __all__ = [
@@ -72,21 +73,6 @@ SK_PRESET_NAMES = ("sk_flat", "sk_cubic", "sk_conic")
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 80
-
-
-def standard_symplectic(m):
-    """Omega = du^i ^ dv_i as a matrix: [[0, -Id], [Id, 0]]."""
-    Om = np.zeros((2 * m, 2 * m))
-    Om[:m, m:] = -np.eye(m)
-    Om[m:, :m] = np.eye(m)
-    return Om
-
-
-def _base_complex_structure(m):
-    J = np.zeros((2 * m, 2 * m))
-    J[:m, m:] = -np.eye(m)
-    J[m:, :m] = np.eye(m)
-    return J
 
 
 @dataclass(frozen=True)
@@ -122,8 +108,8 @@ class SpecialKahlerStructure:
         self,
         name,
         m,
-        metric: MetricField,
-        complex_structure: EndomorphismField,
+        metric: TensorField,
+        complex_structure: TensorField,
         sampler: Callable[[int, np.random.Generator], np.ndarray],
         prepotential: Optional[Prepotential] = None,
         potential: Optional[ScalarExpression] = None,
@@ -201,7 +187,7 @@ def _tensors_at_z(prep: Prepotential, z):
     F3 = jets.third
     N = F2.imag
     R = F2.real
-    J = _base_complex_structure(m)
+    J = standard_symplectic(m)
     T = np.zeros((2 * m, 2 * m))
     T[:m, :m] = np.eye(m)
     T[m:, :m] = R
@@ -248,21 +234,9 @@ def special_kahler_from_prepotential(
         jets = prep.jets(z)
         return np.concatenate([z.real, jets.gradient.real])
 
-    def g_func(q):
-        z = _newton_invert(prep, q)
-        return _tensors_at_z(prep, z)[0]
-
-    def dg_func(q):
-        z = _newton_invert(prep, q)
-        return _tensors_at_z(prep, z)[2]
-
-    def I_func(q):
-        z = _newton_invert(prep, q)
-        return _tensors_at_z(prep, z)[1]
-
-    def dI_func(q):
-        z = _newton_invert(prep, q)
-        return _tensors_at_z(prep, z)[3]
+    def part(k):
+        """Entry k of (g, I, dg, dI) at the Darboux point q."""
+        return lambda q: _tensors_at_z(prep, _newton_invert(prep, q))[k]
 
     def sampler(count, rng):
         return np.array([q_of_z(z) for z in prep.sample_z(count, rng)])
@@ -270,8 +244,8 @@ def special_kahler_from_prepotential(
     structure = SpecialKahlerStructure(
         name=name,
         m=m,
-        metric=MetricField(2 * m, g_func, dg_func),
-        complex_structure=EndomorphismField(2 * m, I_func, dI_func),
+        metric=TensorField(2 * m, part(0), part(2)),
+        complex_structure=TensorField(2 * m, part(1), part(3)),
         sampler=sampler,
         prepotential=prep,
         potential=None,  # implicit; certified through d(g) symmetry
@@ -304,10 +278,9 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
         if config.get("potential", "implicit") == "implicit":
             raise ConfigError("direct config needs an explicit potential")
         potential = parse_expression(config["potential"], variables)
-        I_exprs = [
-            [parse_expression(text, variables) for text in row]
-            for row in config["I"]
-        ]
+        I = TensorField.from_components(
+            [[parse_expression(text, variables) for text in row] for row in config["I"]]
+        )
         inequalities = tuple(
             parse_expression(text, variables) for text in config.get("domain", [])
         )
@@ -315,22 +288,11 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad special-Kahler config: {exc}") from exc
     domain = Domain(inequalities, box)
-
-    def I_func(q):
-        return np.array([[e(q) for e in row] for row in I_exprs])
-
-    def dI_func(q):
-        out = np.zeros((dim, dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[:, i, j] = I_exprs[i][j].jet3(q).gradient
-        return out
-
     return SpecialKahlerStructure(
         name=config.get("name", "special_kahler"),
         m=m,
-        metric=MetricField.from_potential(potential),
-        complex_structure=EndomorphismField(dim, I_func, dI_func),
+        metric=TensorField.from_potential(potential),
+        complex_structure=I,
         sampler=lambda count, rng: domain.sample(count, rng),
         potential=potential,
         seed=int(config.get("seed", 42)),
@@ -429,21 +391,14 @@ def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame
 
 
 def _frame_fields(sk: SpecialKahlerStructure):
+    """g_c and (I1, I2, I3) as fields on T*M, differentiated by finite
+    differences."""
     n = sk.dim
 
-    def gc(pt):
-        return build_hyperkahler(sk, pt[:n]).gc
+    def part(name):
+        return TensorField(2 * n, lambda pt: getattr(build_hyperkahler(sk, pt[:n]), name))
 
-    def I1(pt):
-        return build_hyperkahler(sk, pt[:n]).I1
-
-    def I2(pt):
-        return build_hyperkahler(sk, pt[:n]).I2
-
-    def I3(pt):
-        return build_hyperkahler(sk, pt[:n]).I3
-
-    return gc, (I1, I2, I3)
+    return part("gc"), (part("I1"), part("I2"), part("I3"))
 
 
 def _frame_sample_points(sk: SpecialKahlerStructure, count=None, salt=0):
@@ -461,43 +416,36 @@ def check_special_kahler_axioms(
 ) -> List[CheckResult]:
     points = sk.sample_points(samples)
     n = sk.dim
-    res_sq = res_herm = res_nij = res_omega = res_sym = 0.0
+    res_sq, res_herm, res_nij, res_omega, res_sym = (Residual() for _ in range(5))
     w_const = sk.omega_constant()
     for q in points:
         g = sk.g(q)
         I = sk.I(q)
-        res_sq = max(res_sq, float(np.max(np.abs(I @ I + np.eye(n)))))
-        res_herm = max(res_herm, float(np.max(np.abs(I.T @ g @ I - g))))
-        res_nij = max(
-            res_nij, float(np.max(np.abs(nijenhuis(sk.complex_structure, q))))
-        )
-        res_omega = max(res_omega, float(np.max(np.abs(I.T @ g - w_const))))
-        D = metric_derivative(sk.metric, q, fd=sk.metric.dfunc is None)
-        res_sym = max(
-            res_sym,
-            float(np.max(np.abs(D - np.transpose(D, (1, 0, 2))))),
-            float(np.max(np.abs(D - np.transpose(D, (2, 1, 0))))),
-        )
+        res_sq.add_max_abs(I @ I + np.eye(n))
+        res_herm.add_max_abs(I.T @ g @ I - g)
+        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q))
+        res_omega.add_max_abs(I.T @ g - w_const)
+        res_sym.add(symmetry_defect(sk.metric.derivative(q)))
         if not is_positive_definite(g):
             raise NotPositiveDefinite(q)
     count = len(points)
     return [
-        CheckResult("sk_complex_structure", "I(q)^2 = -Id", res_sq, tolerance, count),
-        CheckResult("sk_hermitian", "g(I., I.) = g", res_herm, tolerance, count),
+        CheckResult("sk_complex_structure", "I(q)^2 = -Id", res_sq.value, tolerance, count),
+        CheckResult("sk_hermitian", "g(I., I.) = g", res_herm.value, tolerance, count),
         CheckResult(
-            "sk_integrable", "Nijenhuis tensor of I vanishes", res_nij, tolerance, count
+            "sk_integrable", "Nijenhuis tensor of I vanishes", res_nij.value, tolerance, count
         ),
         CheckResult(
             "sk_omega_parallel",
             "omega = g(I., .) has constant components lambda * Omega",
-            res_omega,
+            res_omega.value,
             tolerance,
             count,
         ),
         CheckResult(
             "sk_hessian",
             "d_k g_ij is totally symmetric (g is Hessian for the flat connection)",
-            res_sym,
+            res_sym.value,
             tolerance,
             count,
         ),
@@ -513,64 +461,57 @@ def check_hyperkahler(
 ) -> List[CheckResult]:
     n = sk.dim
     points = _frame_sample_points(sk, samples)
-    gc_func, I_funcs = _frame_fields(sk)
-    res_quat = res_herm = res_closed = res_shift = 0.0
+    gc_field, I_fields = _frame_fields(sk)
+    res_quat, res_herm, res_closed, res_shift = (Residual() for _ in range(4))
     rng = sk.rng(31)
     for pt in points:
         frame = build_hyperkahler(sk, pt[:n], pt[n:])
         eye = np.eye(2 * n)
         for Ik in (frame.I1, frame.I2, frame.I3):
-            res_quat = max(res_quat, float(np.max(np.abs(Ik @ Ik + eye))))
-            res_herm = max(
-                res_herm, float(np.max(np.abs(Ik.T @ frame.gc @ Ik - frame.gc)))
-            )
-        res_quat = max(
-            res_quat,
-            float(np.max(np.abs(frame.I1 @ frame.I2 - frame.I3))),
-            float(np.max(np.abs(frame.I2 @ frame.I1 + frame.I3))),
+            res_quat.add_max_abs(Ik @ Ik + eye)
+            res_herm.add_max_abs(Ik.T @ frame.gc @ Ik - frame.gc)
+        res_quat.add_max_abs(
+            frame.I1 @ frame.I2 - frame.I3, frame.I2 @ frame.I1 + frame.I3
         )
         shift = -1.0 + 2.0 * rng.random(n)
         shifted = np.concatenate([pt[:n], pt[n:] + shift])
-        res_shift = max(
-            res_shift,
-            float(np.max(np.abs(gc_func(shifted) - frame.gc))),
-            float(np.max(np.abs(I_funcs[2](shifted) - frame.I3))),
+        res_shift.add_max_abs(
+            gc_field(shifted) - frame.gc, I_fields[2](shifted) - frame.I3
         )
     for pt in points[: min(len(points), 20)]:
-        for k, Ik_func in enumerate(I_funcs):
-            def w_func(x, Ik_func=Ik_func):
-                return Ik_func(x).T @ gc_func(x)
+        for Ik_field in I_fields:
+            def w_func(x, Ik_field=Ik_field):
+                return Ik_field(x).T @ gc_field(x)
 
-            form = TwoFormField(2 * n, w_func)
-            dw = exterior_derivative_2form(form, pt, fd=True)
-            res_closed = max(res_closed, float(np.max(np.abs(dw))))
+            form = TensorField(2 * n, w_func)
+            res_closed.add_max_abs(exterior_derivative_2form(form, pt, fd=True))
     count = len(points)
     return [
         CheckResult(
             "hk_quaternion",
             "I1, I2, I3 = I1 I2 satisfy the quaternion relations",
-            res_quat,
+            res_quat.value,
             quaternion_tolerance,
             count,
         ),
         CheckResult(
             "hk_hermitian",
             "g_c is Hermitian for each of I1, I2, I3",
-            res_herm,
+            res_herm.value,
             quaternion_tolerance,
             count,
         ),
         CheckResult(
             "hk_closed_forms",
             "the three Kahler forms g_c(I_k ., .) are closed on T*M",
-            res_closed,
+            res_closed.value,
             closedness_tolerance,
             min(count, 20),
         ),
         CheckResult(
             "hk_fiber_shift",
             "the frame is exactly invariant under fiber translations",
-            res_shift,
+            res_shift.value,
             shift_tolerance,
             count,
         ),
@@ -596,48 +537,37 @@ def check_invariance_psi_hat(
 ) -> CheckResult:
     n = sk.dim
     base_points = sk.sample_points(10, salt=3)
-    w_const = sk.omega_constant()
+    omega = TensorField.constant(sk.omega_constant())
     for T in automorphisms:
         for q in base_points:
-            image = T(q)
-            g = sk.g(q)
-            if np.max(np.abs(T.A.T @ sk.g(image) @ T.A - g)) > tolerance * max(
-                1.0, np.max(np.abs(g))
-            ):
+            defect, scale = pullback_defect(T, sk.metric, q)
+            if not defect <= tolerance * max(1.0, scale):
                 raise NotAnIsometry(f"linear part {T.A.tolist()} scales the metric")
-            if np.max(
-                np.abs(np.linalg.solve(T.A, sk.I(image) @ T.A) - sk.I(q))
-            ) > tolerance:
+            if not np.max(
+                np.abs(np.linalg.solve(T.A, sk.I(T(q)) @ T.A) - sk.I(q))
+            ) <= tolerance:
                 raise NotAnIsometry(
                     f"linear part {T.A.tolist()} does not preserve I"
                 )
-        if np.max(np.abs(T.A.T @ w_const @ T.A - w_const)) > tolerance:
+        if not pullback_defect(T, omega, base_points[0])[0] <= tolerance:
             raise NotSymplectic(f"linear part {T.A.tolist()} does not preserve omega")
     points = _frame_sample_points(sk, samples)
-    gc_func, I_funcs = _frame_fields(sk)
+    gc_field, I_fields = _frame_fields(sk)
     shifts = list(fiber_shifts) or [np.zeros(n)]
-    residual = 0.0
+    residual = Residual()
     for k, T in enumerate(automorphisms):
         lifted = lift_cotangent_automorphism(T, shifts[k % len(shifts)])
         for pt in points:
+            defect, scale = pullback_defect(lifted, gc_field, pt)
+            residual.add(defect / max(1.0, scale))
             image = lifted(pt)
-            gc = gc_func(pt)
-            residual = max(
-                residual,
-                float(
-                    np.max(np.abs(lifted.A.T @ gc_func(image) @ lifted.A - gc))
-                    / max(1.0, np.max(np.abs(gc)))
-                ),
-            )
-            for Ik_func in I_funcs:
-                conj = np.linalg.solve(lifted.A, Ik_func(image) @ lifted.A)
-                residual = max(
-                    residual, float(np.max(np.abs(conj - Ik_func(pt))))
-                )
+            for Ik_field in I_fields:
+                conj = np.linalg.solve(lifted.A, Ik_field(image) @ lifted.A)
+                residual.add_max_abs(conj - Ik_field(pt))
     return CheckResult(
         "hk_psi_hat_invariance",
         "the frame is invariant under lifted holomorphic isometries",
-        residual,
+        residual.value,
         tolerance,
         len(points) * max(1, len(automorphisms)),
     )
@@ -684,70 +614,59 @@ def check_conformal_hyperkahler(
     n = sk.dim
     qs = sk.sample_points(samples)
     pts = _frame_sample_points(sk, samples)
-    gc_func, I_funcs = _frame_fields(sk)
+    gc_field, I_fields = _frame_fields(sk)
     X = chk.lifted_field()
-    res_base_g = res_base_I = 0.0
+    res_base_g, res_base_I = Residual(), Residual()
     for q in qs:
         L = lie_derivative_metric(sk.metric, chk.xi, q)
-        res_base_g = max(res_base_g, float(np.max(np.abs(L - 2.0 * sk.g(q)))))
-        LI = lie_derivative_endomorphism(sk.complex_structure, chk.xi, q)
-        res_base_I = max(res_base_I, float(np.max(np.abs(LI))))
-    res_norm = res_chk = res_ik = res_control = 0.0
+        res_base_g.add_max_abs(L - 2.0 * sk.g(q))
+        res_base_I.add_max_abs(lie_derivative_endomorphism(sk.complex_structure, chk.xi, q))
+    g_chk = TensorField(2 * n, lambda x: gc_field(x) / chk.norm_squared(x[:n]))
+    res_norm, res_chk, res_ik, res_control = (Residual() for _ in range(4))
     for pt in pts:
         q = pt[:n]
         value = chk.norm_squared(q)
         grad = fd_gradient(chk.norm_squared, q)
         lie_n = float(chk.xi.value(q) @ grad)
-        res_norm = max(res_norm, abs(lie_n - 2.0 * value))
-
-        def g_chk(x):
-            return gc_func(x) / chk.norm_squared(x[:n])
-
-        field = MetricField(2 * n, g_chk)
-        L = lie_derivative_metric(field, X, pt, fd=True)
-        res_chk = max(res_chk, float(np.max(np.abs(L))))
-        for Ik_func in I_funcs:
-            endo = EndomorphismField(2 * n, Ik_func)
-            LI = lie_derivative_endomorphism(endo, X, pt, fd=True)
-            res_ik = max(res_ik, float(np.max(np.abs(LI))))
-        raw = MetricField(2 * n, gc_func)
-        Lraw = lie_derivative_metric(raw, X, pt, fd=True)
-        res_control = max(
-            res_control, float(np.max(np.abs(Lraw - 2.0 * gc_func(pt))))
-        )
+        res_norm.add(abs(lie_n - 2.0 * value))
+        res_chk.add_max_abs(lie_derivative_metric(g_chk, X, pt, fd=True))
+        for Ik in I_fields:
+            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=True))
+        Lraw = lie_derivative_metric(gc_field, X, pt, fd=True)
+        res_control.add_max_abs(Lraw - 2.0 * gc_field(pt))
     count = len(pts)
     return [
         CheckResult(
-            "chk_base_homothety", "L_xi g = 2 g on the base", res_base_g, tolerance, len(qs)
+            "chk_base_homothety", "L_xi g = 2 g on the base", res_base_g.value, tolerance, len(qs)
         ),
         CheckResult(
-            "chk_base_holomorphic", "L_xi I = 0 on the base", res_base_I, tolerance, len(qs)
+            "chk_base_holomorphic", "L_xi I = 0 on the base", res_base_I.value, tolerance, len(qs)
         ),
         CheckResult(
             "chk_norm_homothety",
             "L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            res_norm,
+            res_norm.value,
             tolerance,
             count,
         ),
         CheckResult(
             "chk_metric_flow",
             "L_{xi1+xi2} g_chK = 0 for g_chK = g(xi,xi)^{-1} g_c",
-            res_chk,
+            res_chk.value,
             tolerance,
             count,
         ),
         CheckResult(
             "chk_complex_structures_flow",
             "L_{xi1+xi2} I_k = 0 for k = 1, 2, 3",
-            res_ik,
+            res_ik.value,
             tolerance,
             count,
         ),
         CheckResult(
             "chk_unscaled_negative_control",
             "without the conformal factor L_{xi1+xi2} g_c = 2 g_c exactly",
-            res_control,
+            res_control.value,
             tolerance,
             count,
         ),

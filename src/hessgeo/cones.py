@@ -10,7 +10,7 @@ unimodular subgroup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .report import CheckResult
 from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
 from .tensors import (
     AffineAutomorphism,
-    MetricField,
+    Residual,
     VectorFieldSpec,
     lie_derivative_metric,
-    pullback_metric,
+    pullback_defect,
 )
 
 __all__ = ["ConePreset", "preset", "PRESET_NAMES", "dilation_law", "radiant_law",
@@ -210,17 +210,14 @@ def dilation_law(cone: ConePreset, q, samples=50, seed=42, tolerance=1e-8):
     structure = cone.hessian_structure("con", seed=seed, samples=samples)
     T = AffineAutomorphism.linear(q * np.eye(cone.dim))
     factor = q ** (-cone.dim)
-    residual = 0.0
+    residual = Residual()
     for p in structure.sample_points():
-        g = structure.metric(p)
-        defect = pullback_metric(T, structure.metric, p) - factor * g
-        residual = max(
-            residual, float(np.max(np.abs(defect)) / np.max(np.abs(factor * g)))
-        )
+        defect, scale = pullback_defect(T, structure.metric, p, factor)
+        residual.add(defect / scale)
     return CheckResult(
         check_id=f"dilation_law_q{q}",
         claim=f"pullback of g_con under x -> {q} x equals {q}^(-n) g_con",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=structure.samples,
     )
@@ -229,16 +226,14 @@ def dilation_law(cone: ConePreset, q, samples=50, seed=42, tolerance=1e-8):
 def radiant_law(cone: ConePreset, samples=50, seed=42, tolerance=1e-8, fd=False):
     """Max of ||L_rho g_con + n g_con||_inf over samples."""
     structure = cone.hessian_structure("con", seed=seed, samples=samples)
-    residual = 0.0
+    residual = Residual()
     for p in structure.sample_points():
         L = lie_derivative_metric(structure.metric, cone.rho, p, fd=fd)
-        residual = max(
-            residual, float(np.max(np.abs(L + cone.dim * structure.metric(p))))
-        )
+        residual.add_max_abs(L + cone.dim * structure.metric(p))
     return CheckResult(
         check_id="radiant_law",
         claim="L_rho g_con = -n g_con for the radiant field rho",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=structure.samples,
     )

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .jets import Jet, Jet3
 
-__all__ = ["ScalarExpression", "parse_expression", "eval_jet3", "eval_complex"]
+__all__ = ["ScalarExpression", "parse_expression", "eval_complex"]
 
 _FUNCTIONS = {"ln": 1, "exp": 1, "sqrt": 1, "pow": 2}
 
@@ -334,11 +334,6 @@ def parse_expression(text, variables, mode="real"):
     tokens = _tokenize(text)
     ast = _Parser(tokens, variables, mode).parse()
     return ScalarExpression(ast, tuple(variables), mode)
-
-
-def eval_jet3(expression, point):
-    """Value and derivatives to order three of a real expression at `point`."""
-    return expression.jet3(point)
 
 
 def eval_complex(expression, z):

@@ -10,12 +10,13 @@ lifted homothetic field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import NotAnIsometry
+from .expressions import parse_expression
 from .report import CheckResult
 from .structures import (
     HessianStructure,
@@ -24,13 +25,15 @@ from .structures import (
 )
 from .tensors import (
     AffineAutomorphism,
-    MetricField,
-    TwoFormField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     fd_gradient,
-    lie_derivative_2form,
-    pullback_metric,
+    fd_tensor_derivative,
+    lie_derivative_metric,
+    pullback_defect,
+    standard_symplectic,
 )
 
 __all__ = [
@@ -49,15 +52,7 @@ __all__ = [
 FIBER_BOX = (-1.0, 1.0)
 
 
-def complex_structure_matrix(n):
-    """J with J(d/dx^i) = d/dy^i: (X, Y) -> (-Y, X)."""
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
-
-
-def lift_metric_field(g: MetricField):
+def lift_metric_field(g: TensorField):
     """Block lift of any base metric field: g_r = diag(g, g), w = g dx ^ dy."""
     n = g.dim
 
@@ -89,8 +84,8 @@ def lift_metric_field(g: MetricField):
         out[:n, n:, :n] = -np.transpose(D, (0, 2, 1))
         return out
 
-    metric = MetricField(2 * n, gr, dgr if g.dfunc is not None else None)
-    omega = TwoFormField(2 * n, om, dom if g.dfunc is not None else None)
+    metric = TensorField(2 * n, gr, dgr if g.dfunc is not None else None)
+    omega = TensorField(2 * n, om, dom if g.dfunc is not None else None)
     return metric, omega
 
 
@@ -98,8 +93,8 @@ def lift_metric_field(g: MetricField):
 class KahlerLift:
     base: HessianStructure
     J: np.ndarray
-    metric: MetricField  # g_r on M x R^n
-    omega: TwoFormField
+    metric: TensorField  # g_r on M x R^n
+    omega: TensorField
 
     @property
     def dim(self):
@@ -118,7 +113,7 @@ def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
     metric, omega = lift_metric_field(structure.metric)
     return KahlerLift(
         base=structure,
-        J=complex_structure_matrix(structure.dim),
+        J=standard_symplectic(structure.dim),
         metric=metric,
         omega=omega,
     )
@@ -174,7 +169,7 @@ class ConformalKahlerLift:
             w = lift.omega(p)
             return f * lift.omega.derivative(p) + np.einsum("k,ij->kij", df, w)
 
-        return TwoFormField(2 * n, func, dfunc)
+        return TensorField(2 * n, func, dfunc)
 
 
 def build_conformal_lift(structure: SelfsimilarHessianStructure) -> ConformalKahlerLift:
@@ -192,17 +187,16 @@ def build_conformal_lift(structure: SelfsimilarHessianStructure) -> ConformalKah
 def check_kahler(lift: KahlerLift, samples=None, tolerance=1e-5, fd=False):
     """Closedness of w (and exact Hermitian block identity of g_r)."""
     points = lift.sample_points(samples)
-    residual = 0.0
+    residual = Residual()
     for p in points:
-        dw = exterior_derivative_2form(lift.omega, p, fd=fd)
-        residual = max(residual, float(np.max(np.abs(dw))))
         G = lift.metric(p)
-        hermitian = lift.J.T @ G @ lift.J - G
-        residual = max(residual, float(np.max(np.abs(hermitian))))
+        residual.add_max_abs(
+            exterior_derivative_2form(lift.omega, p, fd=fd), lift.J.T @ G @ lift.J - G
+        )
     return CheckResult(
         check_id="kahler_closed",
         claim="d(omega) = 0 and g_r(J., J.) = g_r for the lifted structure",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=len(points),
     )
@@ -210,9 +204,6 @@ def check_kahler(lift: KahlerLift, samples=None, tolerance=1e-5, fd=False):
 
 def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=False):
     """g_r equals the complex Hessian of 4 phi(x) on M x R^n."""
-    from .expressions import parse_expression
-    from .tensors import fd_tensor_derivative
-
     base = lift.base
     n = base.dim
     variables = list(base.potential.variables) + [f"y{k + 1}" for k in range(n)]
@@ -220,7 +211,7 @@ def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=
         f"4.0*({base.potential.serialize()})", variables
     )
     points = lift.sample_points(samples)
-    residual = 0.0
+    residual = Residual()
     for p in points:
         if fd:
             H = fd_tensor_derivative(
@@ -230,16 +221,14 @@ def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=
             H = lifted_potential.jet3(p).hessian
         # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
         h = 0.25 * (H[:n, :n] + H[n:, n:])
-        mixed = np.max(np.abs(H[:n, n:]))
         complex_hessian = np.zeros((2 * n, 2 * n))
         complex_hessian[:n, :n] = h
         complex_hessian[n:, n:] = h
-        defect = np.max(np.abs(complex_hessian - lift.metric(p)))
-        residual = max(residual, float(defect), float(mixed))
+        residual.add_max_abs(complex_hessian - lift.metric(p), H[:n, n:])
     return CheckResult(
         check_id="kahler_potential",
         claim="g_r equals the complex Hessian of 4 pi^* phi",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=len(points),
     )
@@ -259,9 +248,8 @@ def _require_isometry(structure, autos, tol=1e-8):
     points = structure.sample_points(10, salt=3)
     for T in autos:
         for p in points:
-            g = structure.metric(p)
-            defect = np.max(np.abs(pullback_metric(T, structure.metric, p) - g))
-            if defect > tol * max(1.0, np.max(np.abs(g))):
+            defect, scale = pullback_defect(T, structure.metric, p)
+            if not defect <= tol * max(1.0, scale):
                 raise NotAnIsometry(
                     f"{T.A.tolist()} changes the base metric (defect {defect:.2e})"
                 )
@@ -278,26 +266,23 @@ def check_invariance_psi(
     _require_isometry(lift.base, automorphisms)
     points = lift.sample_points(samples)
     shifts = list(fiber_shifts) or [np.zeros(lift.base.dim)]
-    residual = 0.0
+    residual = Residual()
     for k, T in enumerate(automorphisms):
         lifted = lift_automorphism(T, shifts[k % len(shifts)])
         for p in points:
-            G = lift.metric(p)
-            defect = np.max(
-                np.abs(pullback_metric(lifted, lift.metric, p) - G)
-            ) / max(1.0, np.max(np.abs(G)))
+            defect, scale = pullback_defect(lifted, lift.metric, p)
             conj = np.linalg.solve(lifted.A, lift.J @ lifted.A) - lift.J
-            residual = max(residual, float(defect), float(np.max(np.abs(conj))))
+            residual.add(defect / max(1.0, scale), np.max(np.abs(conj)))
     return CheckResult(
         check_id="psi_invariance",
         claim="(g_r, J) is invariant under lifted isometries with fiber shifts",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=len(points) * max(1, len(automorphisms)),
     )
 
 
-def projected_metric_field(g: MetricField):
+def projected_metric_field(g: TensorField):
     """pi^* g as a degenerate covariant 2-tensor diag(g, 0) on M x R^n."""
     n = g.dim
 
@@ -311,7 +296,7 @@ def projected_metric_field(g: MetricField):
         out[:n, :n, :n] = g.derivative(p[:n])
         return out
 
-    return TwoFormField(2 * n, func, dfunc if g.dfunc is not None else None)
+    return TensorField(2 * n, func, dfunc if g.dfunc is not None else None)
 
 
 def check_lemma_xi_items(cl: ConformalKahlerLift, samples=None, tolerance=1e-8, fd=False):
@@ -320,18 +305,17 @@ def check_lemma_xi_items(cl: ConformalKahlerLift, samples=None, tolerance=1e-8, 
     points = cl.lift.sample_points(samples)
     J = cl.lift.J
     A_total = cl.fields.total.affine[0]
-    residual = 0.0
+    residual = Residual()
     for p in points:
-        L1 = lie_derivative_2form(pg, cl.fields.xi1, p, fd=fd)
-        L2 = lie_derivative_2form(pg, cl.fields.xi2, p, fd=fd)
-        residual = max(residual, float(np.max(np.abs(L1 - 2.0 * pg(p)))))
-        residual = max(residual, float(np.max(np.abs(L2))))
+        L1 = lie_derivative_metric(pg, cl.fields.xi1, p, fd=fd)
+        L2 = lie_derivative_metric(pg, cl.fields.xi2, p, fd=fd)
+        residual.add_max_abs(L1 - 2.0 * pg(p), L2)
     # constant J: L_{xi1+xi2} J = [J, A1 + A2]
-    residual = max(residual, float(np.max(np.abs(J @ A_total - A_total @ J))))
+    residual.add_max_abs(J @ A_total - A_total @ J)
     return CheckResult(
         check_id="lifted_field_lemma",
         claim="L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=len(points),
     )
@@ -352,42 +336,35 @@ def check_conformal_invariance(
     points = cl.lift.sample_points(samples)
     omega_ck = cl.omega_ck()
     X = cl.fields.total
-    res_norm = 0.0
-    res_wck = 0.0
-    res_control = 0.0
+    res_norm, res_wck, res_control = Residual(), Residual(), Residual()
     for p in points:
         x = p[:n]
         value = norm_squared(cl.base, x)
-        if fd:
-            grad = cl.base.norm_gradient(x, fd=True)
-        else:
-            grad = cl.base.norm_gradient(x)
+        grad = cl.base.norm_gradient(x, fd=fd)
         lie_norm = float(cl.fields.xi1.value(p)[:n] @ grad)
-        res_norm = max(res_norm, abs(lie_norm - 2.0 * value))
-        Lw = lie_derivative_2form(omega_ck, X, p, fd=fd)
-        res_wck = max(res_wck, float(np.max(np.abs(Lw))))
-        w = cl.lift.omega(p)
-        Lraw = lie_derivative_2form(cl.lift.omega, X, p, fd=fd)
-        res_control = max(res_control, float(np.max(np.abs(Lraw - 2.0 * w))))
+        res_norm.add(abs(lie_norm - 2.0 * value))
+        res_wck.add_max_abs(lie_derivative_metric(omega_ck, X, p, fd=fd))
+        Lraw = lie_derivative_metric(cl.lift.omega, X, p, fd=fd)
+        res_control.add_max_abs(Lraw - 2.0 * cl.lift.omega(p))
     entries = [
         CheckResult(
             check_id="conformal_norm_homothety",
             claim="L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            residual=res_norm,
+            residual=res_norm.value,
             tolerance=tolerance,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_ck_flow",
             claim="L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
-            residual=res_wck,
+            residual=res_wck.value,
             tolerance=tolerance,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_negative_control",
             claim="without the conformal factor L_{xi1+xi2} omega = 2 omega exactly",
-            residual=res_control,
+            residual=res_control.value,
             tolerance=1e-4,
             samples=len(points),
         ),
@@ -395,22 +372,17 @@ def check_conformal_invariance(
     if automorphisms:
         _require_isometry(cl.base.base, automorphisms)
         shifts = list(fiber_shifts) or [np.zeros(n)]
-        res_inv = 0.0
+        res_inv = Residual()
         for k, T in enumerate(automorphisms):
             lifted = lift_automorphism(T, shifts[k % len(shifts)])
             for p in points:
-                w = omega_ck(p)
-                defect = np.max(
-                    np.abs(
-                        lifted.A.T @ omega_ck(lifted(p)) @ lifted.A - w
-                    )
-                ) / max(1.0, np.max(np.abs(w)))
-                res_inv = max(res_inv, float(defect))
+                defect, scale = pullback_defect(lifted, omega_ck, p)
+                res_inv.add(defect / max(1.0, scale))
         entries.append(
             CheckResult(
                 check_id="conformal_psi_invariance",
                 claim="omega_cK is invariant under lifted unimodular isometries",
-                residual=res_inv,
+                residual=res_inv.value,
                 tolerance=invariance_tolerance,
                 samples=len(points) * len(automorphisms),
             )

@@ -8,8 +8,8 @@ domain and checks positive definiteness and the stated identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .errors import (
 from .expressions import ScalarExpression, parse_expression
 from .report import CheckResult
 from .tensors import (
-    MetricField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
+    fd_gradient,
     is_positive_definite,
     lie_derivative_metric,
-    metric_derivative,
+    symmetry_defect,
 )
 
 __all__ = [
@@ -92,12 +94,12 @@ class HessianStructure:
     domain: Domain
     seed: int = 42
     samples: int = DEFAULT_SAMPLES
-    metric: MetricField = None
+    metric: TensorField = None
 
     def __post_init__(self):
         if self.metric is None:
             object.__setattr__(
-                self, "metric", MetricField.from_potential(self.potential)
+                self, "metric", TensorField.from_potential(self.potential)
             )
 
     @property
@@ -117,12 +119,8 @@ class HessianStructure:
             H = self.metric(p)
             if not is_positive_definite(H):
                 raise NotPositiveDefinite(p, f"Hess({self.name}) not positive definite")
-            D = metric_derivative(self.metric, p)
-            defect = max(
-                np.max(np.abs(D - np.transpose(D, (1, 0, 2)))),
-                np.max(np.abs(D - np.transpose(D, (2, 1, 0)))),
-            )
-            if defect > 1e-8:
+            defect = symmetry_defect(self.metric.derivative(p))
+            if not defect <= 1e-8:
                 raise ConfigError(
                     f"potential-generated metric derivative not symmetric ({defect:.2e})"
                 )
@@ -144,6 +142,10 @@ class SelfsimilarHessianStructure:
     def dim(self):
         return self.base.dim
 
+    @property
+    def domain(self):
+        return self.base.domain
+
     def validate(self, tol=1e-8):
         points = self.base.sample_points(20, salt=1)
         if not self.xi.is_affine_certified(points):
@@ -159,11 +161,9 @@ class SelfsimilarHessianStructure:
         """Gradient of g(xi, xi); analytic from the potential jets unless fd."""
         p = np.asarray(p, dtype=float)
         if fd:
-            from .tensors import fd_gradient
-
             return fd_gradient(lambda q: norm_squared(self, q, check=False), p)
         g = self.metric(p)
-        D = metric_derivative(self.metric, p)
+        D = self.metric.derivative(p)
         v = self.xi.value(p)
         J = self.xi.jacobian(p)
         return 2.0 * (J.T @ (g @ v)) + np.einsum("i,j,kij->k", v, v, D)
@@ -190,14 +190,14 @@ def check_selfsimilar(
     points = structure.sample_points(samples)
     if not xi.is_affine_certified(points[: min(len(points), 20)]):
         raise ConfigError("field is not affine (component Hessians do not vanish)")
-    residual = 0.0
+    residual = Residual()
     for p in points:
         L = lie_derivative_metric(structure.metric, xi, p, fd=fd)
-        residual = max(residual, float(np.max(np.abs(L - 2.0 * structure.metric(p)))))
+        residual.add_max_abs(L - 2.0 * structure.metric(p))
     return CheckResult(
         check_id="selfsimilar_metric",
         claim="L_xi g = 2 g for the affine homothetic field xi",
-        residual=residual,
+        residual=residual.value,
         tolerance=tolerance,
         samples=len(points),
     )

@@ -1,37 +1,38 @@
 """Pointwise tensor operations on fields over a single global flat chart.
 
-Every field is represented by an evaluator `point -> array`.  Fields built
-from expressions carry analytic derivatives (order-3 jets); fields only
-available numerically fall back to central finite differences with step
-`FD_STEP * max(1, |p|)`.
+Every field, whether a metric, a 2-form or an endomorphism, is one
+`TensorField`: an evaluator `point -> array`.  Fields built from expressions
+carry analytic derivatives (order-3 jets); fields only available numerically
+fall back to central finite differences with step `FD_STEP * max(1, |p|)`.
+Checks collect their residuals in a `Residual`, and measure invariance under
+affine maps with `pullback_defect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError
 from .expressions import ScalarExpression
 
 __all__ = [
     "FD_STEP",
-    "MetricField",
+    "TensorField",
     "VectorFieldSpec",
-    "TwoFormField",
-    "EndomorphismField",
     "AffineAutomorphism",
-    "hessian_metric",
-    "metric_derivative",
+    "Residual",
+    "standard_symplectic",
     "lie_derivative_metric",
-    "lie_derivative_2form",
     "lie_derivative_endomorphism",
     "exterior_derivative_2form",
+    "symmetry_defect",
     "nijenhuis",
     "pullback_metric",
-    "pullback_2form",
+    "pullback_defect",
     "is_positive_definite",
     "fd_gradient",
     "fd_tensor_derivative",
@@ -69,15 +70,18 @@ def fd_tensor_derivative(func, p):
 
 
 @dataclass(frozen=True)
-class MetricField:
-    """Symmetric 2-tensor field given by an evaluator, optionally with analytic derivative."""
+class TensorField:
+    """Tensor field (metric, 2-form or endomorphism) given by an evaluator,
+    optionally with its exact derivative D[k, ...] = d_k T_...; without one,
+    `derivative` falls back to central finite differences."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None  # D[k,i,j] = d_k g_ij
+    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def from_potential(cls, potential: ScalarExpression):
+        """Hess(potential), with the third derivatives as its derivative."""
         n = len(potential.variables)
 
         def func(p):
@@ -91,11 +95,11 @@ class MetricField:
     @classmethod
     def from_components(cls, components):
         """Explicit component expressions; derivative from the component jets."""
-        comps = np.asarray(components, dtype=object)
-        n = comps.shape[0]
+        comps = [list(row) for row in components]
+        n = len(comps)
 
         def func(p):
-            return np.array([[comps[i][j](p) for j in range(n)] for i in range(n)])
+            return np.array([[c(p) for c in row] for row in comps])
 
         def dfunc(p):
             D = np.zeros((n, n, n))
@@ -105,40 +109,6 @@ class MetricField:
             return D
 
         return cls(n, func, dfunc)
-
-    def __call__(self, p):
-        return self.func(np.asarray(p, dtype=float))
-
-    def derivative(self, p, fd=False):
-        if self.dfunc is not None and not fd:
-            return self.dfunc(np.asarray(p, dtype=float))
-        return fd_tensor_derivative(self.func, p)
-
-
-@dataclass(frozen=True)
-class TwoFormField:
-    """Antisymmetric 2-form field over an N-dimensional chart."""
-
-    dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, p):
-        return self.func(np.asarray(p, dtype=float))
-
-    def derivative(self, p, fd=False):
-        if self.dfunc is not None and not fd:
-            return self.dfunc(np.asarray(p, dtype=float))
-        return fd_tensor_derivative(self.func, p)
-
-
-@dataclass(frozen=True)
-class EndomorphismField:
-    """(1,1)-tensor field J^i_j; constant fields carry a zero derivative."""
-
-    dim: int
-    func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def constant(cls, matrix):
@@ -239,34 +209,26 @@ class AffineAutomorphism:
 # -- operations ------------------------------------------------------------
 
 
-def hessian_metric(potential: ScalarExpression, p):
-    """Hess(potential) at p."""
-    return potential.jet3(p).hessian
+def standard_symplectic(m):
+    """[[0, -Id], [Id, 0]]: the matrix of Omega = du^i ^ dv_i, and equally the
+    complex structure J(d/dx^i) = d/dy^i on a flat tangent bundle."""
+    Om = np.zeros((2 * m, 2 * m))
+    Om[:m, m:] = -np.eye(m)
+    Om[m:, :m] = np.eye(m)
+    return Om
 
 
-def metric_derivative(g: MetricField, p, fd=False):
-    """D[k,i,j] = d_k g_ij at p."""
-    return g.derivative(p, fd=fd)
-
-
-def _lie_covariant2(T, DT, v, J):
-    """(L_xi T)_ij for a covariant 2-tensor: xi^k d_k T_ij + T_kj d_i xi^k + T_ik d_j xi^k."""
-    return np.einsum("k,kij->ij", v, DT) + J.T @ T + T @ J
-
-
-def lie_derivative_metric(g: MetricField, xi: VectorFieldSpec, p, fd=False):
+def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p, fd=False):
+    """(L_xi T)_ij of a covariant 2-tensor T, a metric or a 2-form:
+    xi^k d_k T_ij + T_kj d_i xi^k + T_ik d_j xi^k."""
     p = np.asarray(p, dtype=float)
-    return _lie_covariant2(g(p), g.derivative(p, fd=fd), xi.value(p), xi.jacobian(p))
+    Tp = T(p)
+    DT = T.derivative(p, fd=fd)
+    J = xi.jacobian(p)
+    return np.einsum("k,kij->ij", xi.value(p), DT) + J.T @ Tp + Tp @ J
 
 
-def lie_derivative_2form(omega: TwoFormField, xi: VectorFieldSpec, p, fd=False):
-    p = np.asarray(p, dtype=float)
-    return _lie_covariant2(
-        omega(p), omega.derivative(p, fd=fd), xi.value(p), xi.jacobian(p)
-    )
-
-
-def lie_derivative_endomorphism(J: EndomorphismField, xi: VectorFieldSpec, p, fd=False):
+def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p, fd=False):
     """(L_xi J)^i_j = xi^k d_k J^i_j - J^k_j d_k xi^i + J^i_k d_j xi^k."""
     p = np.asarray(p, dtype=float)
     Jm = J(p)
@@ -275,13 +237,21 @@ def lie_derivative_endomorphism(J: EndomorphismField, xi: VectorFieldSpec, p, fd
     return np.einsum("k,kij->ij", xi.value(p), DJ) + Jm @ X - X @ Jm
 
 
-def exterior_derivative_2form(omega: TwoFormField, p, fd=False):
+def exterior_derivative_2form(omega: TensorField, p, fd=False):
     """(d omega)_{kij} = d_k w_ij - d_i w_kj + d_j w_ki."""
     D = omega.derivative(p, fd=fd)
     return D - np.transpose(D, (1, 0, 2)) + np.transpose(D, (1, 2, 0))
 
 
-def nijenhuis(J: EndomorphismField, p, fd=False):
+def symmetry_defect(D):
+    """Largest deviation of D[k, i, j] from total symmetry; zero for the
+    derivative of a Hessian metric."""
+    return Residual().add_max_abs(
+        D - np.transpose(D, (1, 0, 2)), D - np.transpose(D, (2, 1, 0))
+    ).value
+
+
+def nijenhuis(J: TensorField, p, fd=False):
     """Nijenhuis tensor N^i_{jk}, antisymmetric in j, k."""
     p = np.asarray(p, dtype=float)
     Jm = J(p)
@@ -294,8 +264,8 @@ def nijenhuis(J: EndomorphismField, p, fd=False):
     return t1 - t2 - t3 + t4
 
 
-def pullback_metric(T: AffineAutomorphism, g: MetricField, p):
-    """(T^* g)(p) = A^T g(Ap + b) A."""
+def pullback_metric(T: AffineAutomorphism, g: TensorField, p):
+    """(T^* g)(p) = A^T g(Ap + b) A for a covariant 2-tensor g."""
     image = T(p)
     try:
         gi = g(image)
@@ -304,15 +274,36 @@ def pullback_metric(T: AffineAutomorphism, g: MetricField, p):
     return T.A.T @ gi @ T.A
 
 
-def pullback_2form(T: AffineAutomorphism, omega: TwoFormField, p):
-    return T.A.T @ omega(T(p)) @ T.A
+def pullback_defect(T: AffineAutomorphism, g: TensorField, p, factor=1.0):
+    """(max |T^* g - factor g|, max |factor g|) at p: the defect and the scale
+    a caller normalises it by."""
+    expected = factor * g(p)
+    return (
+        np.max(np.abs(pullback_metric(T, g, p) - expected)),
+        np.max(np.abs(expected)),
+    )
+
+
+class Residual:
+    """Running maximum of residuals.  Unlike Python's `max`, a NaN is kept
+    once seen (as is an inf), so a residual that became non-finite fails its
+    check instead of vanishing."""
+
+    def __init__(self):
+        self.value = 0.0
+
+    def add(self, *values):
+        for v in values:
+            v = float(v)
+            if not v <= self.value and not math.isnan(self.value):
+                self.value = v
+        return self
+
+    def add_max_abs(self, *arrays):
+        """Adds max |a| of each array."""
+        return self.add(*(np.max(np.abs(a)) for a in arrays))
 
 
 def is_positive_definite(M, tol=1e-10):
     M = np.asarray(M, dtype=float)
     return bool(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) > tol)
-
-
-def require_positive_definite(M, p, tol=1e-10):
-    if not is_positive_definite(M, tol):
-        raise NotPositiveDefinite(np.asarray(p))

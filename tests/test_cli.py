@@ -5,10 +5,32 @@ import pytest
 
 from hessgeo.cli import (
     GEOMETRY_NAMES,
+    KINDS,
+    SUITE_NAMES,
+    applicable_suites,
     eval_tensor,
     main,
+    resolve_geometry,
     run_check,
 )
+
+CONE_SUITES = ("hessian", "rmap", "selfsimilar", "cone", "conformal")
+HESSIAN_CONFIG = {
+    "name": "orthant_conical",
+    "dim": 2,
+    "potential": "1/(x1*x2)",
+    "domain": ["x1", "x2"],
+    "box": [[0.5, 2.0], [0.5, 2.0]],
+}
+FIELD = {"field_affine": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}}
+# flat special Kahler structure given directly by its potential and I
+SK_CONFIG = {
+    "name": "sk_direct",
+    "dim": 2,
+    "potential": "(q1^2+q2^2)/2",
+    "I": [["0", "-1"], ["1", "0"]],
+    "box": [[-1.0, 1.0], [-1.0, 1.0]],
+}
 
 
 def test_list_command(capsys):
@@ -97,21 +119,21 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_config_file_geometry(tmp_path):
-    config = {
-        "name": "orthant_conical",
-        "dim": 2,
-        "potential": "1/(x1*x2)",
-        "domain": ["x1", "x2"],
-        "box": [[0.5, 2.0], [0.5, 2.0]],
-        "field_affine": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
-    }
     path = tmp_path / "geom.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
     report = run_check(str(path), ["all"], 10, 42)
     assert report.passed
     ids = {e.check_id for e in report.entries}
     assert "selfsimilar_metric" in ids
     assert "conformal_omega_ck_flow" in ids
+
+
+def test_special_kahler_config_geometry(tmp_path):
+    path = tmp_path / "sk.json"
+    path.write_text(json.dumps(SK_CONFIG))
+    report = run_check(str(path), ["cmap"], 5, 42)
+    assert report.passed
+    assert {"sk_integrable", "hk_closed_forms"} <= {e.check_id for e in report.entries}
 
 
 def test_eval_canonical_metric():
@@ -144,3 +166,61 @@ def test_fd_check_entries():
     ids = {e.check_id for e in report.entries}
     assert "selfsimilar_metric__fd_delta" in ids
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "geometry, suites, inapplicable",
+    [
+        ("orthant2", CONE_SUITES, "cmap"),
+        ("orthant3", CONE_SUITES, "cmap"),
+        ("lorentz3", CONE_SUITES, "cmap"),
+        ("spd2", CONE_SUITES, "cmap"),
+        ("noncone_counterexample", ("hessian", "rmap"), "selfsimilar"),
+        ("sk_flat", ("cmap", "conformal"), "cone"),
+        ("sk_cubic", ("cmap",), "conformal"),
+        ("sk_conic", ("cmap", "conformal"), "rmap"),
+        ("plain.json", ("hessian", "rmap"), "conformal"),
+        ("field.json", ("hessian", "rmap", "selfsimilar", "conformal"), "cone"),
+        ("sk.json", ("cmap", "conformal"), "hessian"),
+    ],
+)
+def test_applicable_suites(tmp_path, monkeypatch, capsys, geometry, suites, inapplicable):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain.json").write_text(json.dumps(HESSIAN_CONFIG))
+    (tmp_path / "field.json").write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
+    (tmp_path / "sk.json").write_text(json.dumps(SK_CONFIG))
+    kind, _ = resolve_geometry(geometry, 42, 5)
+    assert applicable_suites(kind) == suites
+    assert main(["check", geometry, "--suite", inapplicable]) == 2
+    assert f"suite {inapplicable!r} does not apply" in capsys.readouterr().err
+
+
+def test_suite_table_covers_the_suite_names():
+    offered = {suite for spec in KINDS.values() for suite in spec.suites}
+    assert offered == set(SUITE_NAMES) - {"all"}
+    for spec in KINDS.values():
+        assert set(spec.fd_suites) <= set(spec.suites)
+        assert set(spec.base_tensors) <= set(spec.tensors)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_rejected(capsys, samples):
+    assert main(["check", "orthant2", "--suite", "cone", "--samples", samples]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "geometry, point",
+    [("orthant2", "-1,-2"), ("lorentz3", "1,2,0"), ("sk_conic", "1,-1,0.3,0.4")],
+)
+def test_eval_outside_domain_rejected(capsys, geometry, point):
+    assert main(["eval", geometry, "g", f"--at={point}"]) == 2
+    assert "outside the domain" in capsys.readouterr().err
+
+
+def test_eval_negative_coordinates_need_equals_form(capsys):
+    assert main(["eval", "noncone_counterexample", "g", "--at=-1,-1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [[1.0, 0.0], [0.0, 2.0]]
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "noncone_counterexample", "g", "--at", "-1,-1"])
+    assert exc.value.code == 2

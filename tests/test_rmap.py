@@ -13,10 +13,13 @@ from hessgeo.rmap import (
     check_kahler,
     check_lemma_xi_items,
     check_potential_identity,
-    complex_structure_matrix,
     lift_automorphism,
 )
-from hessgeo.tensors import AffineAutomorphism, exterior_derivative_2form
+from hessgeo.tensors import (
+    AffineAutomorphism,
+    exterior_derivative_2form,
+    standard_symplectic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +28,7 @@ def orthant_lift():
 
 
 def test_complex_structure_squares_to_minus_one():
-    J = complex_structure_matrix(3)
+    J = standard_symplectic(3)
     assert J @ J == pytest.approx(-np.eye(6))
 
 
@@ -116,10 +119,10 @@ def test_negative_control_is_sharp():
     # and the residual is large
     ss = preset("orthant2").selfsimilar_structure(samples=10)
     cl = build_conformal_lift(ss)
-    from hessgeo.tensors import lie_derivative_2form
+    from hessgeo.tensors import lie_derivative_metric
 
     p = cl.lift.sample_points(1, salt=4)[0]
-    L = lie_derivative_2form(cl.lift.omega, cl.fields.total, p)
+    L = lie_derivative_metric(cl.lift.omega, cl.fields.total, p)
     assert np.max(np.abs(L)) > 0.5
 
 

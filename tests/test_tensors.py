@@ -1,30 +1,28 @@
 import numpy as np
 import pytest
 
-from hessgeo.errors import NotPositiveDefinite
 from hessgeo.expressions import parse_expression
+from hessgeo.report import CheckResult
 from hessgeo.rmap import affine_flow
 from hessgeo.tensors import (
     AffineAutomorphism,
-    EndomorphismField,
-    MetricField,
-    TwoFormField,
+    Residual,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     is_positive_definite,
-    lie_derivative_2form,
     lie_derivative_endomorphism,
     lie_derivative_metric,
     nijenhuis,
+    pullback_defect,
     pullback_metric,
-    require_positive_definite,
 )
 
 VARS = ["x1", "x2"]
 
 
 def metric_from(text):
-    return MetricField.from_potential(parse_expression(text, VARS))
+    return TensorField.from_potential(parse_expression(text, VARS))
 
 
 def test_hessian_metric_oracle():
@@ -73,7 +71,7 @@ def test_lie_derivative_2form_matches_flow():
         s = w_expr(p)
         return np.array([[0.0, s], [-s, 0.0]])
 
-    form = TwoFormField(2, w)
+    form = TensorField(2, w)
     A = np.array([[0.0, 1.0], [-1.0, 0.4]])
     xi = VectorFieldSpec.from_affine(A)
     p = np.array([0.6, 1.0])
@@ -83,14 +81,14 @@ def test_lie_derivative_2form_matches_flow():
     numeric = (
         flow_p.A.T @ w(flow_p(p)) @ flow_p.A - flow_m.A.T @ w(flow_m(p)) @ flow_m.A
     ) / (2 * t)
-    assert lie_derivative_2form(form, xi, p, fd=True) == pytest.approx(numeric, abs=1e-6)
+    assert lie_derivative_metric(form, xi, p, fd=True) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_lie_derivative_constant_endomorphism():
     # for constant J and linear field A x: L J = J A - A J
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     A = np.array([[1.0, 2.0], [0.0, -1.0]])
-    field = EndomorphismField.constant(J)
+    field = TensorField.constant(J)
     xi = VectorFieldSpec.from_affine(A)
     L = lie_derivative_endomorphism(field, xi, np.array([0.3, 0.4]))
     assert L == pytest.approx(J @ A - A @ J)
@@ -105,7 +103,7 @@ def test_exterior_derivative_oracle():
             out[1, 0] = -s(p)
             return out
 
-        return TwoFormField(3, func)
+        return TensorField(3, func)
 
     closed = w(lambda q: q[0])
     assert exterior_derivative_2form(closed, [0.5, 0.5, 0.5], fd=True) == pytest.approx(
@@ -118,7 +116,7 @@ def test_exterior_derivative_oracle():
 
 
 def test_nijenhuis_constant_vanishes():
-    J = EndomorphismField.constant(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    J = TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert nijenhuis(J, [0.2, 0.9]) == pytest.approx(np.zeros((2, 2, 2)))
 
 
@@ -126,7 +124,7 @@ def test_nijenhuis_nonvanishing_for_scaled_structure():
     # rescaling a complex structure by a nonconstant function breaks the
     # tensor identity N = 0
     J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    J = EndomorphismField(2, lambda p: (1.0 + p[0] ** 2) * J0)
+    J = TensorField(2, lambda p: (1.0 + p[0] ** 2) * J0)
     N = nijenhuis(J, [0.7, 0.1], fd=True)
     assert np.max(np.abs(N)) > 1e-3
 
@@ -137,6 +135,9 @@ def test_pullback_metric():
     p = np.array([0.4, 0.9])
     expected = T.A.T @ g(T(p)) @ T.A
     assert pullback_metric(T, g, p) == pytest.approx(expected)
+    defect, scale = pullback_defect(T, g, p, factor=2.0)
+    assert defect == np.max(np.abs(expected - 2.0 * g(p)))
+    assert scale == np.max(np.abs(2.0 * g(p)))
 
 
 def test_singular_automorphism_rejected():
@@ -147,8 +148,26 @@ def test_singular_automorphism_rejected():
 def test_positive_definite_helpers():
     assert is_positive_definite(np.eye(2))
     assert not is_positive_definite(np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefinite):
-        require_positive_definite(np.diag([1.0, 0.0]), np.zeros(2))
+
+
+def test_residual_is_the_exact_maximum_of_finite_values():
+    values = [0.3, 1e-17, 2.5, -4.0, 2.5 - 1e-15]
+    assert Residual().add(*values).value == max(values)
+    assert Residual().add(-1.0).value == 0.0
+    arrays = [np.array([[0.1, -3.0]]), np.array([2.0])]
+    assert Residual().add_max_abs(*arrays).value == 3.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("nan")])
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_residual_lets_nan_and_inf_fail_the_check(bad, position):
+    values = [1e-12, 3e-13, 2e-12]
+    values.insert(position, bad)
+    residual = Residual().add(*values)
+    assert not CheckResult("c", "claim", residual.value, 1e-6, len(values)).passed
+    nan_matrix = np.array([[1e-12, bad], [0.0, 1e-13]])
+    residual = Residual().add_max_abs(np.zeros(2), nan_matrix, np.ones(1) * 1e-12)
+    assert not CheckResult("c", "claim", residual.value, 1e-6, 3).passed
 
 
 def test_affine_field_certification():
