@@ -280,9 +280,9 @@ def cone_conformal_suite(
     return entries
 
 
-def cmap_suite(sk, samples=None, seed=42) -> List[CheckResult]:
-    entries = list(cmap_mod.check_special_kahler_axioms(sk, samples))
-    entries.extend(cmap_mod.check_hyperkahler(sk, samples))
+def cmap_suite(sk, samples=None, seed=42, fd=False) -> List[CheckResult]:
+    entries = list(cmap_mod.check_special_kahler_axioms(sk, samples, fd=fd))
+    entries.extend(cmap_mod.check_hyperkahler(sk, samples, fd=fd))
     autos, shifts = _sk_automorphisms(sk, seed)
     entries.append(cmap_mod.check_invariance_psi_hat(sk, autos, shifts, samples))
     return entries
@@ -309,11 +309,13 @@ def _sk_automorphisms(sk, seed):
     return autos, shifts
 
 
-def sk_conformal_suite(sk, samples=None) -> List[CheckResult]:
-    chk = cmap_mod.ConformalHyperKahler(
-        sk, VectorFieldSpec.from_affine(np.eye(sk.dim))
-    )
-    entries = cmap_mod.check_conformal_hyperkahler(chk, samples)
+def _euler_conformal(sk):
+    """The conformal rescaling by the Euler field xi(q) = q."""
+    return cmap_mod.ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+
+
+def sk_conformal_suite(sk, samples=None, fd=False) -> List[CheckResult]:
+    entries = cmap_mod.check_conformal_hyperkahler(_euler_conformal(sk), samples, fd=fd)
     entries.append(_assumed_hypotheses())
     return entries
 
@@ -383,24 +385,19 @@ def _frame_tensor(name):
     )
 
 
-def _conformal_metric(sk, p, seed):
-    chk = cmap_mod.ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
-    return _frame_tensor("gc")(sk, p, seed) / chk.norm_squared(p[: sk.dim])
-
-
 def _sk_kind(suites):
     return Kind(
         suites={
-            "cmap": lambda sk, samples, seed, fd: cmap_suite(sk, samples, seed=seed),
+            "cmap": lambda sk, samples, seed, fd: cmap_suite(sk, samples, seed=seed, fd=fd),
             **suites,
         },
-        fd_suites=(),
+        fd_suites=("cmap", *suites),
         tensors={
             "g": lambda sk, q, seed: sk.g(q),
             "I": lambda sk, q, seed: sk.I(q),
             "omega": lambda sk, q, seed: sk.omega(q),
             **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
-            "g_chk": _conformal_metric,
+            "g_chk": lambda sk, p, seed: _euler_conformal(sk).rescaled_metric()(p),
         },
         base_tensors=("g", "I", "omega"),
         # a special Kahler structure lives where its metric (Im F'') is positive definite
@@ -454,7 +451,7 @@ KINDS = {
     ),
     "sk": _sk_kind({}),
     "sk_homothetic": _sk_kind(
-        {"conformal": lambda sk, samples, seed, fd: sk_conformal_suite(sk, samples)}
+        {"conformal": lambda sk, samples, seed, fd: sk_conformal_suite(sk, samples, fd=fd)}
     ),
 }
 

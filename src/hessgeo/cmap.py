@@ -14,6 +14,9 @@ On T*M = M x (R^{2m})*, with the flat splitting, the frame is
     g_c = diag(g, g^{-1}),  I1 = diag(I, I^T),  I2 = [[0, -w^{-1}], [w, 0]],
     I3 = I1 I2,   with w = I^T g (constant = lambda * Omega).
 
+Its derivatives are exact: they follow from g, I, dg and dI by the product
+rule and d(M^{-1}) = -M^{-1} dM M^{-1}.
+
 The conformal rescaling uses a linear homothetic field xi(q) = A q; its
 vertical lift is transported through the w-identification of fibers:
 xi_2 = (0, w A w^{-1} p).
@@ -22,6 +25,7 @@ xi_2 = (0, w A w^{-1} p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -73,6 +77,11 @@ SK_PRESET_NAMES = ("sk_flat", "sk_cubic", "sk_conic")
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 80
+# Darboux points whose (g, I, dg, dI) one structure keeps (the most recent
+# ones).  A default `check sk_flat` visits 442 distinct points and inverts
+# each once at this size; with 32 entries it makes 1,062 inversions.  At
+# m = 2 the full cache holds under 1 MB.
+DARBOUX_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -234,9 +243,18 @@ def special_kahler_from_prepotential(
         jets = prep.jets(z)
         return np.concatenate([z.real, jets.gradient.real])
 
+    @lru_cache(maxsize=DARBOUX_CACHE_SIZE)
+    def bundle(key):
+        """(g, I, dg, dI) at the Darboux point with bytes `key`: one Newton
+        inversion per point, read-only since every caller shares them."""
+        tensors = _tensors_at_z(prep, _newton_invert(prep, np.frombuffer(key)))
+        for array in tensors:
+            array.setflags(write=False)
+        return tensors
+
     def part(k):
         """Entry k of (g, I, dg, dI) at the Darboux point q."""
-        return lambda q: _tensors_at_z(prep, _newton_invert(prep, q))[k]
+        return lambda q: bundle(q.tobytes())[k]
 
     def sampler(count, rng):
         return np.array([q_of_z(z) for z in prep.sample_z(count, rng)])
@@ -278,9 +296,10 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
         if config.get("potential", "implicit") == "implicit":
             raise ConfigError("direct config needs an explicit potential")
         potential = parse_expression(config["potential"], variables)
-        I = TensorField.from_components(
-            [[parse_expression(text, variables) for text in row] for row in config["I"]]
-        )
+        rows = [[parse_expression(text, variables) for text in row] for row in config["I"]]
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ConfigError(f"I must have {dim} rows of {dim} components")
+        I = TensorField.from_components(rows)
         inequalities = tuple(
             parse_expression(text, variables) for text in config.get("domain", [])
         )
@@ -390,15 +409,48 @@ def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame
     return HyperKahlerFrame(gc, I1, I2, I1 @ I2)
 
 
+def _frame_derivative(sk: SpecialKahlerStructure, q) -> HyperKahlerFrame:
+    """D[k] = d_k of each frame matrix over the 2n coordinates (q, p) of T*M,
+    from g, I, dg and dI at q; the rows along p vanish."""
+    n = sk.dim
+    frame = build_hyperkahler(sk, q)
+    g, I = sk.g(q), sk.I(q)
+    dg, dI = sk.metric.derivative(q), sk.complex_structure.derivative(q)
+    ginv, winv = frame.gc[n:, n:], -frame.I2[:n, n:]
+    dIT = np.transpose(dI, (0, 2, 1))
+    dw = dIT @ g + I.T @ dg  # w = I^T g
+    dgc, dI1, dI2 = (np.zeros((2 * n, 2 * n, 2 * n)) for _ in range(3))
+    dgc[:n, :n, :n] = dg
+    dgc[:n, n:, n:] = -ginv @ dg @ ginv  # d(g^{-1}) = -g^{-1} dg g^{-1}
+    dI1[:n, :n, :n] = dI
+    dI1[:n, n:, n:] = dIT
+    dI2[:n, :n, n:] = winv @ dw @ winv  # d(-w^{-1}) = w^{-1} dw w^{-1}
+    dI2[:n, n:, :n] = dw
+    return HyperKahlerFrame(dgc, dI1, dI2, dI1 @ frame.I2 + frame.I1 @ dI2)
+
+
 def _frame_fields(sk: SpecialKahlerStructure):
-    """g_c and (I1, I2, I3) as fields on T*M, differentiated by finite
-    differences."""
+    """g_c and (I1, I2, I3) as fields on T*M with exact derivatives."""
     n = sk.dim
 
     def part(name):
-        return TensorField(2 * n, lambda pt: getattr(build_hyperkahler(sk, pt[:n]), name))
+        return TensorField(
+            2 * n,
+            lambda pt: getattr(build_hyperkahler(sk, pt[:n]), name),
+            lambda pt: getattr(_frame_derivative(sk, pt[:n]), name),
+        )
 
     return part("gc"), (part("I1"), part("I2"), part("I3"))
+
+
+def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
+    """w_k = I_k^T g_c, differentiated by the product rule."""
+    return TensorField(
+        gc.dim,
+        lambda x: Ik(x).T @ gc(x),
+        lambda x: np.transpose(Ik.derivative(x), (0, 2, 1)) @ gc(x)
+        + Ik(x).T @ gc.derivative(x),
+    )
 
 
 def _frame_sample_points(sk: SpecialKahlerStructure, count=None, salt=0):
@@ -412,7 +464,7 @@ def _frame_sample_points(sk: SpecialKahlerStructure, count=None, salt=0):
 
 
 def check_special_kahler_axioms(
-    sk: SpecialKahlerStructure, samples=None, tolerance=1e-6
+    sk: SpecialKahlerStructure, samples=None, tolerance=1e-6, fd=False
 ) -> List[CheckResult]:
     points = sk.sample_points(samples)
     n = sk.dim
@@ -423,9 +475,9 @@ def check_special_kahler_axioms(
         I = sk.I(q)
         res_sq.add_max_abs(I @ I + np.eye(n))
         res_herm.add_max_abs(I.T @ g @ I - g)
-        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q))
+        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q, fd=fd))
         res_omega.add_max_abs(I.T @ g - w_const)
-        res_sym.add(symmetry_defect(sk.metric.derivative(q)))
+        res_sym.add(symmetry_defect(sk.metric.derivative(q, fd=fd)))
         if not is_positive_definite(g):
             raise NotPositiveDefinite(q)
     count = len(points)
@@ -458,6 +510,7 @@ def check_hyperkahler(
     quaternion_tolerance=1e-8,
     closedness_tolerance=1e-5,
     shift_tolerance=1e-12,
+    fd=False,
 ) -> List[CheckResult]:
     n = sk.dim
     points = _frame_sample_points(sk, samples)
@@ -480,11 +533,9 @@ def check_hyperkahler(
         )
     for pt in points[: min(len(points), 20)]:
         for Ik_field in I_fields:
-            def w_func(x, Ik_field=Ik_field):
-                return Ik_field(x).T @ gc_field(x)
-
-            form = TensorField(2 * n, w_func)
-            res_closed.add_max_abs(exterior_derivative_2form(form, pt, fd=True))
+            res_closed.add_max_abs(
+                exterior_derivative_2form(_kahler_form(gc_field, Ik_field), pt, fd=fd)
+            )
     count = len(points)
     return [
         CheckResult(
@@ -606,9 +657,30 @@ class ConformalHyperKahler:
         v = self.xi.value(q)
         return float(v @ self.base.g(q) @ v)
 
+    def norm_squared_gradient(self, q):
+        """d_k g(xi, xi) = 2 (A^T g xi)_k + dg[k](xi, xi) for the linear xi = A q."""
+        A = self.xi.affine[0]
+        v = self.xi.value(q)
+        dg = self.base.metric.derivative(q)
+        return 2.0 * A.T @ self.base.g(q) @ v + np.einsum("kij,i,j->k", dg, v, v)
+
+    def rescaled_metric(self) -> TensorField:
+        """g_chK = g_c / N on T*M, N = pi^* g(xi, xi), differentiated by the
+        quotient rule."""
+        n = self.base.dim
+        gc, _ = _frame_fields(self.base)
+
+        def dfunc(x):
+            N = self.norm_squared(x[:n])
+            dN = np.zeros(2 * n)
+            dN[:n] = self.norm_squared_gradient(x[:n])
+            return gc.derivative(x) / N - np.einsum("k,ij->kij", dN, gc(x)) / N**2
+
+        return TensorField(2 * n, lambda x: gc(x) / self.norm_squared(x[:n]), dfunc)
+
 
 def check_conformal_hyperkahler(
-    chk: ConformalHyperKahler, samples=None, tolerance=1e-5
+    chk: ConformalHyperKahler, samples=None, tolerance=1e-5, fd=False
 ) -> List[CheckResult]:
     sk = chk.base
     n = sk.dim
@@ -618,21 +690,23 @@ def check_conformal_hyperkahler(
     X = chk.lifted_field()
     res_base_g, res_base_I = Residual(), Residual()
     for q in qs:
-        L = lie_derivative_metric(sk.metric, chk.xi, q)
+        L = lie_derivative_metric(sk.metric, chk.xi, q, fd=fd)
         res_base_g.add_max_abs(L - 2.0 * sk.g(q))
-        res_base_I.add_max_abs(lie_derivative_endomorphism(sk.complex_structure, chk.xi, q))
-    g_chk = TensorField(2 * n, lambda x: gc_field(x) / chk.norm_squared(x[:n]))
+        res_base_I.add_max_abs(
+            lie_derivative_endomorphism(sk.complex_structure, chk.xi, q, fd=fd)
+        )
+    g_chk = chk.rescaled_metric()
     res_norm, res_chk, res_ik, res_control = (Residual() for _ in range(4))
     for pt in pts:
         q = pt[:n]
         value = chk.norm_squared(q)
-        grad = fd_gradient(chk.norm_squared, q)
+        grad = fd_gradient(chk.norm_squared, q) if fd else chk.norm_squared_gradient(q)
         lie_n = float(chk.xi.value(q) @ grad)
         res_norm.add(abs(lie_n - 2.0 * value))
-        res_chk.add_max_abs(lie_derivative_metric(g_chk, X, pt, fd=True))
+        res_chk.add_max_abs(lie_derivative_metric(g_chk, X, pt, fd=fd))
         for Ik in I_fields:
-            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=True))
-        Lraw = lie_derivative_metric(gc_field, X, pt, fd=True)
+            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=fd))
+        Lraw = lie_derivative_metric(gc_field, X, pt, fd=fd)
         res_control.add_max_abs(Lraw - 2.0 * gc_field(pt))
     count = len(pts)
     return [

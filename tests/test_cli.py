@@ -168,6 +168,40 @@ def test_fd_check_entries():
     assert report.passed
 
 
+# the checks that differentiate the hyper-Kahler frame on T*M
+FRAME_DERIVATIVE_CHECKS = (
+    "hk_closed_forms",
+    "chk_norm_homothety",
+    "chk_metric_flow",
+    "chk_complex_structures_flow",
+    "chk_unscaled_negative_control",
+)
+
+
+def test_fd_check_covers_special_kahler_suites(capsys):
+    code = main(["check", "sk_conic", "--samples", "5", "--fd-check", "--json"])
+    assert code == 0
+    entries = {e["check_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    for check_id in FRAME_DERIVATIVE_CHECKS:
+        assert entries[f"{check_id}__fd_delta"]["pass"], check_id
+
+
+@pytest.mark.parametrize(
+    "geometry, seed, expected",
+    [(name, 42, 1 if name == "noncone_counterexample" else 0) for name in GEOMETRY_NAMES]
+    + [("sk_flat", 4, 0)],
+)
+def test_default_check_exit_codes(geometry, seed, expected):
+    assert main(["check", geometry, "--seed", str(seed)]) == expected
+
+
+def test_special_kahler_config_rejects_misshapen_I(tmp_path, capsys):
+    path = tmp_path / "sk.json"
+    path.write_text(json.dumps({**SK_CONFIG, "I": [["0", "-1"]]}))
+    assert main(["check", str(path)]) == 2
+    assert "I must have 2 rows of 2 components" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "geometry, suites, inapplicable",
     [

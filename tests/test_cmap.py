@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from hessgeo import cmap
 from hessgeo.cmap import (
     ConformalHyperKahler,
     Prepotential,
+    _frame_fields,
+    _frame_sample_points,
     _newton_invert,
     _tensors_at_z,
     build_hyperkahler,
@@ -22,7 +25,12 @@ from hessgeo.errors import (
     UnknownPreset,
 )
 from hessgeo.expressions import parse_expression
-from hessgeo.tensors import AffineAutomorphism, VectorFieldSpec, fd_tensor_derivative
+from hessgeo.tensors import (
+    AffineAutomorphism,
+    VectorFieldSpec,
+    fd_gradient,
+    fd_tensor_derivative,
+)
 
 
 def cubic_prepotential():
@@ -182,3 +190,46 @@ def test_bad_prepotential_config():
 
     with pytest.raises(ConfigError):
         prepotential_from_config({"m": 1, "F": "i*z1^2/2", "box": [[0, 1]]})
+
+
+@pytest.mark.parametrize("name", ["sk_cubic", "sk_conic"])
+def test_exact_frame_derivatives_match_fd(name):
+    sk = special_kahler_preset(name, samples=4)
+    chk = ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+    gc, (I1, I2, I3) = _frame_fields(sk)
+    fields = {"gc": gc, "I1": I1, "I2": I2, "I3": I3, "g_chk": chk.rescaled_metric()}
+
+    def assert_close(exact, fd, label):
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert np.max(np.abs(exact - fd)) <= 1e-5 * scale, label
+
+    for pt in _frame_sample_points(sk, 4, salt=41):
+        for label, field in fields.items():
+            assert_close(field.derivative(pt), fd_tensor_derivative(field, pt), label)
+        q = pt[: sk.dim]
+        assert_close(chk.norm_squared_gradient(q), fd_gradient(chk.norm_squared, q), "dN")
+
+
+def test_one_newton_inversion_per_darboux_point(monkeypatch):
+    sk = special_kahler_preset("sk_conic", samples=5)
+    calls = []
+
+    def counted(prep, q):
+        calls.append(q)
+        return _newton_invert(prep, q)
+
+    monkeypatch.setattr(cmap, "_newton_invert", counted)
+    q = sk.sample_points(1, salt=43)[0]
+    build_hyperkahler(sk, q)
+    assert len(calls) == 1
+    build_hyperkahler(sk, q, np.ones(sk.dim))
+    assert len(calls) == 1
+
+
+def test_cached_darboux_tensors_are_read_only():
+    sk = special_kahler_preset("sk_cubic", samples=5)
+    q = sk.sample_points(1)[0]
+    g = sk.g(q)
+    with pytest.raises(ValueError):
+        g[0, 0] = 2.0
+    assert sk.g(q)[0, 0] == g[0, 0]
