@@ -21,8 +21,7 @@ def main():
         print(f"== {name} (dim {cone.dim}) ==")
         print(f"   characteristic potential: {cone.phi_char.serialize()}")
         p = cone.domain.box.mean(axis=1)
-        can = cone.hessian_structure("can", samples=20)
-        con = cone.hessian_structure("con", samples=20)
+        can, con = cone.can, cone.con
         print(f"   g_can at {p}:")
         print(np.array_str(can.metric(p), precision=4))
         for entry in (radiant_law(cone), dilation_law(cone, 2.0)):

@@ -25,7 +25,7 @@ from hessgeo.tensors import exterior_derivative_2form
 
 def main():
     cone = preset("orthant2")
-    ss = cone.selfsimilar_structure(samples=40)
+    ss = cone.selfsimilar
     lift = build_kahler_lift(ss.base)
 
     print("lifted structure on M x R^2, base potential",

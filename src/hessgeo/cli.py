@@ -81,7 +81,7 @@ def resolve_geometry(name, seed, samples):
     """Returns (kind, object); the kind, a key of KINDS, fixes the suites
     and tensors the geometry offers."""
     if name in cones_mod.PRESET_NAMES:
-        return "cone", cones_mod.preset(name)
+        return "cone", cones_mod.preset(name, seed)
     if name in cmap_mod.SK_PRESET_NAMES:
         return _special_kahler(
             cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
@@ -101,7 +101,7 @@ def resolve_geometry(name, seed, samples):
         xi = field_from_config(config, structure.dim)
         if xi is None:
             return "hessian", structure
-        return "selfsimilar", SelfsimilarHessianStructure(structure, xi)
+        return "selfsimilar", SelfsimilarHessianStructure(structure, xi).validate()
     raise UnknownPreset(name)
 
 
@@ -186,20 +186,14 @@ def selfsimilar_suite(
     return entries
 
 
-def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckResult]:
+def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     samples = samples or 50
-    entries = [
-        cones_mod.dilation_law(cone, 2.0, samples=samples, seed=seed),
-        cones_mod.dilation_law(cone, 0.5, samples=samples, seed=seed),
-        cones_mod.dilation_law(cone, 3.0, samples=samples, seed=seed),
-        cones_mod.radiant_law(cone, samples=samples, seed=seed),
-    ]
-    can = cone.hessian_structure("can", seed=seed, samples=samples)
-    con = cone.hessian_structure("con", seed=seed, samples=samples)
-    full = cones_mod.automorphism_samples(cone, 10, seed=seed, unimodular=False)
-    unim = cones_mod.automorphism_samples(cone, 10, seed=seed, unimodular=True)
+    entries = [cones_mod.dilation_law(cone, q, samples=samples) for q in (2.0, 0.5, 3.0)]
+    entries.append(cones_mod.radiant_law(cone, samples=samples))
+    full = cones_mod.automorphism_samples(cone, 10, unimodular=False)
+    unim = cones_mod.automorphism_samples(cone, 10, unimodular=True)
     res_full, res_unim = Residual(), Residual()
-    for structure, autos, res in ((can, full, res_full), (con, unim, res_unim)):
+    for structure, autos, res in ((cone.can, full, res_full), (cone.con, unim, res_unim)):
         for T in autos:
             for p in structure.sample_points(20, salt=2):
                 defect, scale = pullback_defect(T, structure.metric, p)
@@ -227,8 +221,8 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckR
     expected = 1.0 - 2.0 ** (-cone.dim)
     T = cones_mod.AffineAutomorphism.linear(2.0 * np.eye(cone.dim))
     measured = Residual()
-    for p in con.sample_points(20, salt=4):
-        defect, scale = pullback_defect(T, con.metric, p)
+    for p in cone.con.sample_points(20, salt=4):
+        defect, scale = pullback_defect(T, cone.con.metric, p)
         measured.add(defect / scale)
     entries.append(
         CheckResult(
@@ -243,19 +237,18 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None, seed=42) -> List[CheckR
 
 
 def cone_conformal_suite(
-    cone: cones_mod.ConePreset, samples=None, seed=42, fd=False
+    cone: cones_mod.ConePreset, samples=None, fd=False
 ) -> List[CheckResult]:
-    ss = cone.selfsimilar_structure(seed=seed, samples=samples or 50)
-    cl = rmap_mod.build_conformal_lift(ss)
-    unim = cones_mod.automorphism_samples(cone, 5, seed=seed, unimodular=True)
-    rng = np.random.default_rng([seed, 23])
+    cl = rmap_mod.build_conformal_lift(cone.selfsimilar)
+    unim = cones_mod.automorphism_samples(cone, 5, unimodular=True)
+    rng = np.random.default_rng([cone.seed, 23])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in unim]
     entries = rmap_mod.check_conformal_invariance(
-        cl, samples, automorphisms=unim, fiber_shifts=shifts, fd=fd
+        cl, samples or 50, automorphisms=unim, fiber_shifts=shifts, fd=fd
     )
     # orbit reachability from the sampled generators only: informational,
     # transitivity itself is not decidable from samples
-    points = ss.base.sample_points(10, salt=13)
+    points = cone.con.sample_points(10, salt=13)
     reach = Residual()
     for p in points:
         images = np.array([T(p) for T in unim])
@@ -280,18 +273,18 @@ def cone_conformal_suite(
     return entries
 
 
-def cmap_suite(sk, samples=None, seed=42, fd=False) -> List[CheckResult]:
+def cmap_suite(sk, samples=None, fd=False) -> List[CheckResult]:
     entries = list(cmap_mod.check_special_kahler_axioms(sk, samples, fd=fd))
     entries.extend(cmap_mod.check_hyperkahler(sk, samples, fd=fd))
-    autos, shifts = _sk_automorphisms(sk, seed)
+    autos, shifts = _sk_automorphisms(sk)
     entries.append(cmap_mod.check_invariance_psi_hat(sk, autos, shifts, samples))
     return entries
 
 
-def _sk_automorphisms(sk, seed):
+def _sk_automorphisms(sk):
     """Holomorphic isometries with fiber shifts; rotations generated by the
     constant I for the flat structure, the identity otherwise."""
-    rng = np.random.default_rng([seed, 29])
+    rng = np.random.default_rng([sk.seed, 29])
     shifts = [rng.uniform(-1.0, 1.0, sk.dim) for _ in range(3)]
     if sk.name == "sk_flat":
         q0 = sk.sample_points(1, salt=9)[0]
@@ -328,9 +321,9 @@ class Kind:
     """What one kind of geometry offers.
 
     `suites` maps each applicable suite, in run order, to a runner
-    (obj, samples, seed, fd) -> entries; the runners of `fd_suites` honour
+    (obj, samples, fd) -> entries; the runners of `fd_suites` honour
     `fd`, so `--fd-check` reruns them.  `tensors` maps each `eval` tensor to
-    (obj, point, seed) -> matrix, where the tensors of `base_tensors` take a
+    (obj, point) -> matrix, where the tensors of `base_tensors` take a
     base point and the others a point (x, y) of the bundle.  `inside` tells
     whether a base point lies in the geometry's domain.
     """
@@ -342,35 +335,31 @@ class Kind:
     inside: Callable
 
 
-def _cone_rmap(cone, samples, seed, fd):
-    autos = cones_mod.automorphism_samples(cone, 5, seed=seed)
-    rng = np.random.default_rng([seed, 11])
+def _cone_rmap(cone, samples, fd):
+    autos = cones_mod.automorphism_samples(cone, 5)
+    rng = np.random.default_rng([cone.seed, 11])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in autos]
-    return rmap_suite(cone.hessian_structure("can", seed=seed), samples, autos, shifts, fd=fd)
+    return rmap_suite(cone.can, samples, autos, shifts, fd=fd)
 
 
 def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)):
-    """A kind whose geometry is a Hessian structure, `structure_of(obj, seed)`:
+    """A kind whose geometry is a Hessian structure, `structure_of(obj)`:
     the hessian and rmap suites and the tensors g, gr and omega, plus extras."""
 
-    def lift(obj, seed):
-        return rmap_mod.build_kahler_lift(structure_of(obj, seed))
+    def lift(obj):
+        return rmap_mod.build_kahler_lift(structure_of(obj))
 
     return Kind(
         suites={
-            "hessian": lambda obj, samples, seed, fd: hessian_suite(
-                structure_of(obj, seed), samples
-            ),
-            "rmap": lambda obj, samples, seed, fd: rmap_suite(
-                structure_of(obj, seed), samples, fd=fd
-            ),
+            "hessian": lambda obj, samples, fd: hessian_suite(structure_of(obj), samples),
+            "rmap": lambda obj, samples, fd: rmap_suite(structure_of(obj), samples, fd=fd),
             **(suites or {}),
         },
         fd_suites=fd_suites,
         tensors={
-            "g": lambda obj, x, seed: structure_of(obj, seed).metric(x),
-            "gr": lambda obj, p, seed: lift(obj, seed).metric(p),
-            "omega": lambda obj, p, seed: lift(obj, seed).omega(p),
+            "g": lambda obj, x: structure_of(obj).metric(x),
+            "gr": lambda obj, p: lift(obj).metric(p),
+            "omega": lambda obj, p: lift(obj).omega(p),
             **(tensors or {}),
         },
         base_tensors=base_tensors,
@@ -380,24 +369,21 @@ def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, 
 
 def _frame_tensor(name):
     """A matrix of the hyper-Kahler frame at the point (q, p) of T*M."""
-    return lambda sk, p, seed: getattr(
+    return lambda sk, p: getattr(
         cmap_mod.build_hyperkahler(sk, p[: sk.dim], p[sk.dim :]), name
     )
 
 
 def _sk_kind(suites):
     return Kind(
-        suites={
-            "cmap": lambda sk, samples, seed, fd: cmap_suite(sk, samples, seed=seed, fd=fd),
-            **suites,
-        },
+        suites={"cmap": cmap_suite, **suites},
         fd_suites=("cmap", *suites),
         tensors={
-            "g": lambda sk, q, seed: sk.g(q),
-            "I": lambda sk, q, seed: sk.I(q),
-            "omega": lambda sk, q, seed: sk.omega(q),
+            "g": lambda sk, q: sk.g(q),
+            "I": lambda sk, q: sk.I(q),
+            "omega": lambda sk, q: sk.omega(q),
             **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
-            "g_chk": lambda sk, p, seed: _euler_conformal(sk).rescaled_metric()(p),
+            "g_chk": lambda sk, p: _euler_conformal(sk).rescaled_metric()(p),
         },
         base_tensors=("g", "I", "omega"),
         # a special Kahler structure lives where its metric (Im F'') is positive definite
@@ -407,52 +393,46 @@ def _sk_kind(suites):
 
 KINDS = {
     "cone": _hessian_kind(
-        lambda cone, seed: cone.hessian_structure("can", seed=seed),
+        lambda cone: cone.can,
         suites={
             "rmap": _cone_rmap,
-            "selfsimilar": lambda cone, samples, seed, fd: selfsimilar_suite(
-                cone.selfsimilar_structure(seed=seed), samples, fd=fd
+            "selfsimilar": lambda cone, samples, fd: selfsimilar_suite(
+                cone.selfsimilar, samples, fd=fd
             ),
-            "cone": lambda cone, samples, seed, fd: cone_suite(cone, samples, seed=seed),
-            "conformal": lambda cone, samples, seed, fd: cone_conformal_suite(
-                cone, samples, seed=seed, fd=fd
-            ),
+            "cone": lambda cone, samples, fd: cone_suite(cone, samples),
+            "conformal": cone_conformal_suite,
         },
         fd_suites=("rmap", "selfsimilar", "conformal"),
         tensors={
-            "gcan": lambda cone, x, seed: cone.hessian_structure("can", seed=seed).metric(x),
-            "gcon": lambda cone, x, seed: cone.hessian_structure("con", seed=seed).metric(x),
-            "omega_ck": lambda cone, p, seed: rmap_mod.build_conformal_lift(
-                cone.selfsimilar_structure(seed=seed)
+            "gcan": lambda cone, x: cone.can.metric(x),
+            "gcon": lambda cone, x: cone.con.metric(x),
+            "omega_ck": lambda cone, p: rmap_mod.build_conformal_lift(
+                cone.selfsimilar
             ).omega_ck()(p),
         },
         base_tensors=("g", "gcan", "gcon"),
     ),
     "noncone": _hessian_kind(
-        lambda structure, seed: structure,
+        lambda structure: structure,
         suites={
-            "rmap": lambda structure, samples, seed, fd: rmap_suite(
+            "rmap": lambda structure, samples, fd: rmap_suite(
                 structure, samples, fd=fd, noncone_point=NONCONE_POINT
             ),
         },
     ),
-    "hessian": _hessian_kind(lambda structure, seed: structure),
+    "hessian": _hessian_kind(lambda structure: structure),
     "selfsimilar": _hessian_kind(
-        lambda ss, seed: ss.base,
+        lambda ss: ss.base,
         suites={
-            "selfsimilar": lambda ss, samples, seed, fd: selfsimilar_suite(
-                ss.validate(), samples, fd=fd
-            ),
-            "conformal": lambda ss, samples, seed, fd: rmap_mod.check_conformal_invariance(
-                rmap_mod.build_conformal_lift(ss.validate()), samples, fd=fd
+            "selfsimilar": selfsimilar_suite,
+            "conformal": lambda ss, samples, fd: rmap_mod.check_conformal_invariance(
+                rmap_mod.build_conformal_lift(ss), samples, fd=fd
             ),
         },
         fd_suites=("rmap", "selfsimilar", "conformal"),
     ),
     "sk": _sk_kind({}),
-    "sk_homothetic": _sk_kind(
-        {"conformal": lambda sk, samples, seed, fd: sk_conformal_suite(sk, samples, fd=fd)}
-    ),
+    "sk_homothetic": _sk_kind({"conformal": sk_conformal_suite}),
 }
 
 
@@ -460,11 +440,11 @@ def applicable_suites(kind):
     return tuple(KINDS[kind].suites)
 
 
-def run_suite(kind, obj, suite, samples, seed, fd=False):
+def run_suite(kind, obj, suite, samples, fd=False):
     runner = KINDS[kind].suites.get(suite)
     if runner is None:
         raise ConfigError(f"suite {suite!r} does not apply to this geometry")
-    return runner(obj, samples, seed, fd)
+    return runner(obj, samples, fd)
 
 
 def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
@@ -481,10 +461,10 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         selected = tuple(suites)
     report = VerificationReport(geometry=name, seed=seed)
     for suite in selected:
-        entries = run_suite(kind, obj, suite, samples, seed)
+        entries = run_suite(kind, obj, suite, samples)
         report.extend(entries)
         if fd_check and suite in KINDS[kind].fd_suites:
-            fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples, seed, fd=True)}
+            fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples, fd=True)}
             for entry in entries:
                 twin = fd_entries.get(entry.check_id)
                 if twin is None or entry.status != "checked":
@@ -507,6 +487,9 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         deduped.append(entry)
     report.entries = deduped
     if tol_overrides:
+        unknown = sorted(set(tol_overrides) - {e.check_id for e in report.entries})
+        if unknown:
+            raise ConfigError(f"--tol names checks not in the report: {', '.join(unknown)}")
         for entry in report.entries:
             if entry.check_id in tol_overrides:
                 entry.tolerance = tol_overrides[entry.check_id]
@@ -523,9 +506,11 @@ EVAL_TENSORS = (
 
 
 def eval_tensor(name, tensor, point, seed=42):
+    point = np.asarray(point, dtype=float)
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"point coordinates must be finite, got {point.tolist()}")
     kind, obj = resolve_geometry(name, seed, 100)
     spec = KINDS[kind]
-    point = np.asarray(point, dtype=float)
     n = obj.dim
     if tensor in spec.base_tensors:
         if len(point) != n:
@@ -537,7 +522,7 @@ def eval_tensor(name, tensor, point, seed=42):
         raise ConfigError(f"tensor {tensor!r} is not available for geometry {name!r}")
     if not spec.inside(obj, point[:n]):
         raise DomainError(f"point {point[:n].tolist()} lies outside the domain of {name!r}")
-    return evaluate(obj, point, seed)
+    return evaluate(obj, point)
 
 
 def _pad_fiber(point, n):

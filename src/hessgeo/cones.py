@@ -4,12 +4,14 @@ Each preset carries a closed-form characteristic potential phi (constant
 normalized to 1), homogeneous of degree -n, the canonical metric
 g_can = Hess(ln phi), the conical metric g_con = Hess(phi), the radiant field
 rho = sum x^i d/dx^i, and samplers for automorphisms (full group and the
-unimodular subgroup).
+unimodular subgroup).  A preset carries its seed and builds g_can, g_con and
+the selfsimilar structure (g_con, xi) once, validated, on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List
 
 import numpy as np
@@ -40,6 +42,7 @@ class ConePreset:
     domain: Domain
     rho: VectorFieldSpec
     sample_automorphisms: Callable[[int, np.random.Generator, bool], List[AffineAutomorphism]]
+    seed: int = 42
 
     @property
     def variables(self):
@@ -63,11 +66,19 @@ class ConePreset:
             samples=samples,
         ).validate()
 
-    def selfsimilar_structure(self, seed=42, samples=100):
+    @cached_property
+    def can(self):
+        return self.hessian_structure("can", seed=self.seed)
+
+    @cached_property
+    def con(self):
+        return self.hessian_structure("con", seed=self.seed)
+
+    @cached_property
+    def selfsimilar(self):
         """(V, g_con, xi) with xi = -(2/n) rho."""
-        base = self.hessian_structure("con", seed=seed, samples=samples)
         xi = VectorFieldSpec.from_affine(-(2.0 / self.dim) * np.eye(self.dim))
-        return SelfsimilarHessianStructure(base, xi).validate()
+        return SelfsimilarHessianStructure(self.con, xi).validate()
 
 
 def _orthant(n):
@@ -185,55 +196,54 @@ def _spd2():
     )
 
 
-def preset(name) -> ConePreset:
-    if name == "orthant2":
-        return _orthant(2)
-    if name == "orthant3":
-        return _orthant(3)
-    if name == "lorentz3":
-        return _lorentz3()
-    if name == "spd2":
-        return _spd2()
-    raise UnknownPreset(name)
+def preset(name, seed=42) -> ConePreset:
+    if name in ("orthant2", "orthant3"):
+        cone = _orthant(int(name[-1]))
+    elif name == "lorentz3":
+        cone = _lorentz3()
+    elif name == "spd2":
+        cone = _spd2()
+    else:
+        raise UnknownPreset(name)
+    return replace(cone, seed=seed)
 
 
-def automorphism_samples(cone: ConePreset, count=20, seed=42, unimodular=False):
-    rng = np.random.default_rng([seed, 17])
+def automorphism_samples(cone: ConePreset, count=20, unimodular=False):
+    rng = np.random.default_rng([cone.seed, 17])
     return cone.sample_automorphisms(count, rng, unimodular)
 
 
 # -- verified laws ---------------------------------------------------------
 
 
-def dilation_law(cone: ConePreset, q, samples=50, seed=42, tolerance=1e-8):
+def dilation_law(cone: ConePreset, q, samples=50, tolerance=1e-8):
     """Relative defect of lambda_q^* g_con = q^{-n} g_con."""
-    structure = cone.hessian_structure("con", seed=seed, samples=samples)
     T = AffineAutomorphism.linear(q * np.eye(cone.dim))
     factor = q ** (-cone.dim)
     residual = Residual()
-    for p in structure.sample_points():
-        defect, scale = pullback_defect(T, structure.metric, p, factor)
+    for p in cone.con.sample_points(samples):
+        defect, scale = pullback_defect(T, cone.con.metric, p, factor)
         residual.add(defect / scale)
     return CheckResult(
         check_id=f"dilation_law_q{q}",
         claim=f"pullback of g_con under x -> {q} x equals {q}^(-n) g_con",
         residual=residual.value,
         tolerance=tolerance,
-        samples=structure.samples,
+        samples=samples,
     )
 
 
-def radiant_law(cone: ConePreset, samples=50, seed=42, tolerance=1e-8, fd=False):
+def radiant_law(cone: ConePreset, samples=50, tolerance=1e-8, fd=False):
     """Max of ||L_rho g_con + n g_con||_inf over samples."""
-    structure = cone.hessian_structure("con", seed=seed, samples=samples)
+    metric = cone.con.metric
     residual = Residual()
-    for p in structure.sample_points():
-        L = lie_derivative_metric(structure.metric, cone.rho, p, fd=fd)
-        residual.add_max_abs(L + cone.dim * structure.metric(p))
+    for p in cone.con.sample_points(samples):
+        L = lie_derivative_metric(metric, cone.rho, p, fd=fd)
+        residual.add_max_abs(L + cone.dim * metric(p))
     return CheckResult(
         check_id="radiant_law",
         claim="L_rho g_con = -n g_con for the radiant field rho",
         residual=residual.value,
         tolerance=tolerance,
-        samples=structure.samples,
+        samples=samples,
     )

@@ -149,7 +149,7 @@ def test_criterion_4_selfsimilar_suite(capsys):
     entries = []
     for name in CONES:
         cone = preset(name)
-        ss = cone.selfsimilar_structure(samples=SAMPLES)
+        ss = cone.selfsimilar
         entry = check_selfsimilar(ss.base, ss.xi, SAMPLES, tolerance=1e-8)
         entry.check_id = f"{name}_{entry.check_id}"
         entries.append(entry)

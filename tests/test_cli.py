@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hessgeo import structures
 from hessgeo.cli import (
     GEOMETRY_NAMES,
     KINDS,
@@ -104,6 +105,12 @@ def test_tol_override_can_force_failure():
     assert not report.passed
 
 
+def test_tol_override_of_unknown_check_rejected(capsys):
+    code = main(["check", "orthant2", "--suite", "cone", "--samples", "5", "--tol", "nosuch=1"])
+    assert code == 2
+    assert "--tol names checks not in the report: nosuch" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(
@@ -126,6 +133,16 @@ def test_config_file_geometry(tmp_path):
     ids = {e.check_id for e in report.entries}
     assert "selfsimilar_metric" in ids
     assert "conformal_omega_ck_flow" in ids
+
+
+def test_config_with_non_homothetic_field_rejected(tmp_path, capsys):
+    path = tmp_path / "geom.json"
+    field = {"field_affine": {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}}
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **field}))
+    # validated once, when the geometry is resolved: every command rejects it
+    assert main(["check", str(path), "--suite", "hessian"]) == 2
+    assert main(["eval", str(path), "g", "--at=1,1"]) == 2
+    assert "L_xi g != 2 g" in capsys.readouterr().err
 
 
 def test_special_kahler_config_geometry(tmp_path):
@@ -250,6 +267,41 @@ def test_samples_below_one_rejected(capsys, samples):
 def test_eval_outside_domain_rejected(capsys, geometry, point):
     assert main(["eval", geometry, "g", f"--at={point}"]) == 2
     assert "outside the domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["1,1,nan,0", "inf,1", "1,-inf,0,0"])
+def test_eval_nonfinite_point_rejected(capsys, point):
+    assert main(["eval", "orthant2", "gr", f"--at={point}"]) == 2
+    assert "point coordinates must be finite" in capsys.readouterr().err
+
+
+def _count_validations(monkeypatch):
+    counts = {"hessian": 0, "selfsimilar": 0}
+    for key, cls in (
+        ("hessian", structures.HessianStructure),
+        ("selfsimilar", structures.SelfsimilarHessianStructure),
+    ):
+        def counted(self, *args, _key=key, _validate=cls.validate, **kwargs):
+            counts[_key] += 1
+            return _validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    return counts
+
+
+def test_cone_check_builds_each_structure_once(monkeypatch):
+    counts = _count_validations(monkeypatch)
+    run_check("orthant2", ["all"], None, 42)
+    # g_can and g_con, then (g_con, xi) on the same g_con
+    assert counts == {"hessian": 2, "selfsimilar": 1}
+
+
+def test_field_config_validates_selfsimilar_once(tmp_path, monkeypatch):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
+    counts = _count_validations(monkeypatch)
+    run_check(str(path), ["all"], 5, 42, fd_check=True)
+    assert counts == {"hessian": 1, "selfsimilar": 1}
 
 
 def test_eval_negative_coordinates_need_equals_form(capsys):

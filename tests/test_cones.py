@@ -109,10 +109,21 @@ def test_scaling_breaks_conical_metric():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_selfsimilar_field(name):
     cone = preset(name)
-    ss = cone.selfsimilar_structure(samples=20)
+    ss = cone.selfsimilar
     for p in ss.base.sample_points(10, salt=2):
         L = lie_derivative_metric(ss.metric, ss.xi, p)
         assert L == pytest.approx(2.0 * ss.metric(p), rel=1e-10, abs=1e-10)
+
+
+def test_structures_built_once_per_preset():
+    cone = preset("orthant2", seed=7)
+    assert cone.seed == 7
+    assert cone.can is cone.can and cone.con is cone.con
+    assert cone.selfsimilar.base is cone.con
+    assert cone.con.seed == 7
+    # a k-point draw is the first k points of a longer draw, so suites that
+    # ask for fewer samples than the structure's default see the same points
+    np.testing.assert_array_equal(cone.con.sample_points(5), cone.con.sample_points(50)[:5])
 
 
 def test_spd2_radiant_lie_derivative_oracle():

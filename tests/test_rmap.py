@@ -96,7 +96,7 @@ def test_lifted_field_split():
 
 
 def test_lemma_xi_items():
-    ss = preset("orthant2").selfsimilar_structure(samples=20)
+    ss = preset("orthant2").selfsimilar
     cl = build_conformal_lift(ss)
     entry = check_lemma_xi_items(cl, samples=20)
     assert entry.passed
@@ -104,7 +104,7 @@ def test_lemma_xi_items():
 
 def test_conformal_invariance_suite():
     cone = preset("lorentz3")
-    cl = build_conformal_lift(cone.selfsimilar_structure(samples=20))
+    cl = build_conformal_lift(cone.selfsimilar)
     unim = automorphism_samples(cone, 3, unimodular=True)
     entries = check_conformal_invariance(cl, samples=15, automorphisms=unim)
     by_id = {e.check_id: e for e in entries}
@@ -117,7 +117,7 @@ def test_conformal_invariance_suite():
 def test_negative_control_is_sharp():
     # the unscaled form genuinely flows with weight 2: remove the "- 2w" term
     # and the residual is large
-    ss = preset("orthant2").selfsimilar_structure(samples=10)
+    ss = preset("orthant2").selfsimilar
     cl = build_conformal_lift(ss)
     from hessgeo.tensors import lie_derivative_metric
 
