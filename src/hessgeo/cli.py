@@ -459,7 +459,7 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
             if s not in available:
                 raise ConfigError(f"suite {s!r} does not apply to geometry {name!r}")
         selected = tuple(suites)
-    report = VerificationReport(geometry=name, seed=seed)
+    report = VerificationReport(geometry=name, seed=obj.seed)
     for suite in selected:
         entries = run_suite(kind, obj, suite, samples)
         report.extend(entries)

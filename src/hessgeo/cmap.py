@@ -25,8 +25,7 @@ xi_2 = (0, w A w^{-1} p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .tensors import (
     lie_derivative_endomorphism,
     lie_derivative_metric,
     nijenhuis,
+    point_bundle,
     pullback_defect,
     standard_symplectic,
     symmetry_defect,
@@ -77,11 +77,6 @@ SK_PRESET_NAMES = ("sk_flat", "sk_cubic", "sk_conic")
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 80
-# Darboux points whose (g, I, dg, dI) one structure keeps (the most recent
-# ones).  A default `check sk_flat` visits 442 distinct points and inverts
-# each once at this size; with 32 entries it makes 1,062 inversions.  At
-# m = 2 the full cache holds under 1 MB.
-DARBOUX_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -243,18 +238,8 @@ def special_kahler_from_prepotential(
         jets = prep.jets(z)
         return np.concatenate([z.real, jets.gradient.real])
 
-    @lru_cache(maxsize=DARBOUX_CACHE_SIZE)
-    def bundle(key):
-        """(g, I, dg, dI) at the Darboux point with bytes `key`: one Newton
-        inversion per point, read-only since every caller shares them."""
-        tensors = _tensors_at_z(prep, _newton_invert(prep, np.frombuffer(key)))
-        for array in tensors:
-            array.setflags(write=False)
-        return tensors
-
-    def part(k):
-        """Entry k of (g, I, dg, dI) at the Darboux point q."""
-        return lambda q: bundle(q.tobytes())[k]
+    # (g, I, dg, dI) at a Darboux point q: one Newton inversion per point
+    tensors = point_bundle(lambda q: _tensors_at_z(prep, _newton_invert(prep, q)))
 
     def sampler(count, rng):
         return np.array([q_of_z(z) for z in prep.sample_z(count, rng)])
@@ -262,8 +247,8 @@ def special_kahler_from_prepotential(
     structure = SpecialKahlerStructure(
         name=name,
         m=m,
-        metric=TensorField(2 * m, part(0), part(2)),
-        complex_structure=TensorField(2 * m, part(1), part(3)),
+        metric=TensorField.from_bundle(2 * m, tensors, 0, 2),
+        complex_structure=TensorField.from_bundle(2 * m, tensors, 1, 3),
         sampler=sampler,
         prepotential=prep,
         potential=None,  # implicit; certified through d(g) symmetry
@@ -378,8 +363,7 @@ def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
 # -- hyper-Kahler frame ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperKahlerFrame:
+class HyperKahlerFrame(NamedTuple):
     gc: np.ndarray
     I1: np.ndarray
     I2: np.ndarray
@@ -409,12 +393,11 @@ def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame
     return HyperKahlerFrame(gc, I1, I2, I1 @ I2)
 
 
-def _frame_derivative(sk: SpecialKahlerStructure, q) -> HyperKahlerFrame:
+def _frame_derivative(sk: SpecialKahlerStructure, q, frame) -> HyperKahlerFrame:
     """D[k] = d_k of each frame matrix over the 2n coordinates (q, p) of T*M,
-    from g, I, dg and dI at q; the rows along p vanish."""
+    from the frame at q and dg, dI there; the rows along p vanish."""
     n = sk.dim
-    frame = build_hyperkahler(sk, q)
-    g, I = sk.g(q), sk.I(q)
+    g, I = frame.gc[:n, :n], frame.I1[:n, :n]
     dg, dI = sk.metric.derivative(q), sk.complex_structure.derivative(q)
     ginv, winv = frame.gc[n:, n:], -frame.I2[:n, n:]
     dIT = np.transpose(dI, (0, 2, 1))
@@ -430,17 +413,18 @@ def _frame_derivative(sk: SpecialKahlerStructure, q) -> HyperKahlerFrame:
 
 
 def _frame_fields(sk: SpecialKahlerStructure):
-    """g_c and (I1, I2, I3) as fields on T*M with exact derivatives."""
+    """g_c and (I1, I2, I3) on T*M with exact derivatives, from one bundle per q."""
     n = sk.dim
 
-    def part(name):
-        return TensorField(
-            2 * n,
-            lambda pt: getattr(build_hyperkahler(sk, pt[:n]), name),
-            lambda pt: getattr(_frame_derivative(sk, pt[:n]), name),
-        )
+    def frame_and_derivative(q):
+        frame = build_hyperkahler(sk, q)
+        return (*frame, *_frame_derivative(sk, q, frame))
 
-    return part("gc"), (part("I1"), part("I2"), part("I3"))
+    at_q = point_bundle(frame_and_derivative)
+    gc, I1, I2, I3 = (
+        TensorField.from_bundle(2 * n, lambda pt: at_q(pt[:n]), k, k + 4) for k in range(4)
+    )
+    return gc, (I1, I2, I3)
 
 
 def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
@@ -518,19 +502,15 @@ def check_hyperkahler(
     res_quat, res_herm, res_closed, res_shift = (Residual() for _ in range(4))
     rng = sk.rng(31)
     for pt in points:
-        frame = build_hyperkahler(sk, pt[:n], pt[n:])
+        gc, (I1, I2, I3) = gc_field(pt), (Ik(pt) for Ik in I_fields)
         eye = np.eye(2 * n)
-        for Ik in (frame.I1, frame.I2, frame.I3):
+        for Ik in (I1, I2, I3):
             res_quat.add_max_abs(Ik @ Ik + eye)
-            res_herm.add_max_abs(Ik.T @ frame.gc @ Ik - frame.gc)
-        res_quat.add_max_abs(
-            frame.I1 @ frame.I2 - frame.I3, frame.I2 @ frame.I1 + frame.I3
-        )
+            res_herm.add_max_abs(Ik.T @ gc @ Ik - gc)
+        res_quat.add_max_abs(I1 @ I2 - I3, I2 @ I1 + I3)
         shift = -1.0 + 2.0 * rng.random(n)
         shifted = np.concatenate([pt[:n], pt[n:] + shift])
-        res_shift.add_max_abs(
-            gc_field(shifted) - frame.gc, I_fields[2](shifted) - frame.I3
-        )
+        res_shift.add_max_abs(gc_field(shifted) - gc, I_fields[2](shifted) - I3)
     for pt in points[: min(len(points), 20)]:
         for Ik_field in I_fields:
             res_closed.add_max_abs(

@@ -143,6 +143,10 @@ class SelfsimilarHessianStructure:
         return self.base.dim
 
     @property
+    def seed(self):
+        return self.base.seed
+
+    @property
     def domain(self):
         return self.base.domain
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hessgeo.cli import (
     resolve_geometry,
     run_check,
 )
+from hessgeo.expressions import ScalarExpression
 
 CONE_SUITES = ("hessian", "rmap", "selfsimilar", "cone", "conformal")
 HESSIAN_CONFIG = {
@@ -204,12 +209,22 @@ def test_fd_check_covers_special_kahler_suites(capsys):
 
 
 @pytest.mark.parametrize(
-    "geometry, seed, expected",
-    [(name, 42, 1 if name == "noncone_counterexample" else 0) for name in GEOMETRY_NAMES]
-    + [("sk_flat", 4, 0)],
+    "geometry, seed, extra, expected",
+    [
+        pytest.param(
+            geometry, seed, extra, expected,
+            id="-".join([geometry, str(seed), *extra, str(expected)]),
+        )
+        for geometry, seed, extra, expected in [
+            (name, 42, (), 1 if name == "noncone_counterexample" else 0)
+            for name in GEOMETRY_NAMES
+        ]
+        # seed 4 draws a sample with |q| = 0.0135, next to the pole of g_chK
+        + [("sk_flat", 4, (), 0), ("sk_flat", 4, ("--fd-check",), 0)]
+    ],
 )
-def test_default_check_exit_codes(geometry, seed, expected):
-    assert main(["check", geometry, "--seed", str(seed)]) == expected
+def test_default_check_exit_codes(geometry, seed, extra, expected):
+    assert main(["check", geometry, "--seed", str(seed), *extra]) == expected
 
 
 def test_special_kahler_config_rejects_misshapen_I(tmp_path, capsys):
@@ -296,12 +311,51 @@ def test_cone_check_builds_each_structure_once(monkeypatch):
     assert counts == {"hessian": 2, "selfsimilar": 1}
 
 
+@pytest.mark.parametrize("geometry", ["orthant2", "lorentz3", "spd2"])
+def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
+    calls = []
+    jet3 = ScalarExpression.jet3
+
+    def counted(expr, p):
+        calls.append((id(expr), np.asarray(p).tobytes()))
+        return jet3(expr, p)
+
+    monkeypatch.setattr(ScalarExpression, "jet3", counted)
+    run_check(geometry, ["all"], None, 42)
+    # 6,340 calls for these 1,800 pairs when each field evaluation made its own jet
+    assert len(calls) == len(set(calls)) == 1800
+
+
 def test_field_config_validates_selfsimilar_once(tmp_path, monkeypatch):
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
     counts = _count_validations(monkeypatch)
     run_check(str(path), ["all"], 5, 42, fd_check=True)
     assert counts == {"hessian": 1, "selfsimilar": 1}
+
+
+def test_report_states_the_seed_of_its_config(tmp_path, capsys):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **FIELD, "seed": 5}))
+    reports = []
+    for seed in ("42", "7"):
+        assert main(["check", str(path), "--samples", "3", "--seed", seed, "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["seed"] == 5
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, hessgeo.cli; assert 'scipy' not in sys.modules"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def test_eval_negative_coordinates_need_equals_form(capsys):

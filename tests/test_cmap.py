@@ -27,6 +27,7 @@ from hessgeo.errors import (
 from hessgeo.expressions import parse_expression
 from hessgeo.tensors import (
     AffineAutomorphism,
+    TensorField,
     VectorFieldSpec,
     fd_gradient,
     fd_tensor_derivative,
@@ -226,10 +227,45 @@ def test_one_newton_inversion_per_darboux_point(monkeypatch):
     assert len(calls) == 1
 
 
+def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):
+    sk = special_kahler_preset("sk_conic", samples=5)
+    calls = []
+
+    def counted(sk, q, p=None):
+        calls.append(np.asarray(q).tobytes())
+        return build_hyperkahler(sk, q, p)
+
+    monkeypatch.setattr(cmap, "build_hyperkahler", counted)
+    gc, I_fields = _frame_fields(sk)
+    points = _frame_sample_points(sk, 3)
+    for pt in points:
+        for fiber in (pt[sk.dim :], np.zeros(sk.dim)):
+            shifted = np.concatenate([pt[: sk.dim], fiber])
+            for field in (gc, *I_fields):
+                field(shifted)
+                field.derivative(shifted)
+    assert len(calls) == len(set(calls)) == len(points)
+
+
 def test_cached_darboux_tensors_are_read_only():
     sk = special_kahler_preset("sk_cubic", samples=5)
     q = sk.sample_points(1)[0]
-    g = sk.g(q)
-    with pytest.raises(ValueError):
-        g[0, 0] = 2.0
-    assert sk.g(q)[0, 0] == g[0, 0]
+    pt = _frame_sample_points(sk, 1)[0]
+    gc, I_fields = _frame_fields(sk)
+    g = TensorField.from_potential(parse_expression("-ln(x1)-ln(x2)", ["x1", "x2"]))
+    x = np.array([0.5, 2.0])
+    reads = [
+        (sk.g, q),
+        (sk.metric.derivative, q),
+        (sk.complex_structure.derivative, q),
+        (gc, pt),
+        (I_fields[2].derivative, pt),
+        (g, x),
+        (g.derivative, x),
+    ]
+    for read, point in reads:
+        value = read(point)
+        first = value.flat[0]
+        with pytest.raises(ValueError):
+            value.flat[0] = first + 1.0
+        assert read(point).flat[0] == first

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from flows import affine_flow
 
 from hessgeo.cones import automorphism_samples, preset
 from hessgeo.errors import NotAnIsometry
 from hessgeo.rmap import (
     LiftedField,
-    affine_flow,
     build_conformal_lift,
     build_kahler_lift,
     check_conformal_invariance,

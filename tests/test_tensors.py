@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from flows import affine_flow
 
-from hessgeo.expressions import parse_expression
+from hessgeo.expressions import ScalarExpression, parse_expression
 from hessgeo.report import CheckResult
-from hessgeo.rmap import affine_flow
 from hessgeo.tensors import (
     AffineAutomorphism,
     Residual,
@@ -33,6 +33,24 @@ def test_hessian_metric_oracle():
     assert D[0, 0, 0] == pytest.approx(-2.0)
     assert D[1, 1, 1] == pytest.approx(-2.0)
     assert D[0, 1, 1] == pytest.approx(0.0)
+
+
+def test_potential_field_makes_one_jet_per_point(monkeypatch):
+    potential = parse_expression("1/(x1*x2)+x1^4", VARS)
+    g = TensorField.from_potential(potential)
+    calls = []
+    jet3 = ScalarExpression.jet3
+
+    def counted(expr, p):
+        calls.append(np.asarray(p).tobytes())
+        return jet3(expr, p)
+
+    monkeypatch.setattr(ScalarExpression, "jet3", counted)
+    points = [np.array([0.8, 1.4]), np.array([1.1, 0.7]), np.array([0.8, 1.4])]
+    for p in points * 3:
+        g(p)
+        g.derivative(p)
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_metric_derivative_fd_agrees():
