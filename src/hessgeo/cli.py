@@ -98,7 +98,7 @@ def resolve_geometry(name, seed, samples):
         if "I" in config:
             return _special_kahler(cmap_mod.special_kahler_from_config(config))
         structure = make_hessian_structure(config)
-        xi = field_from_config(config, structure.dim)
+        xi = field_from_config(config, structure)
         if xi is None:
             return "hessian", structure
         return "selfsimilar", SelfsimilarHessianStructure(structure, xi).validate()

@@ -25,6 +25,7 @@ xi_2 = (0, w A w^{-1} p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,16 +42,18 @@ from .errors import (
 )
 from .expressions import ScalarExpression, eval_complex, parse_expression
 from .report import CheckResult
+from .structures import Domain, conformal_flow_residuals, conformal_rescaling
 from .tensors import (
     AffineAutomorphism,
     Residual,
     TensorField,
     VectorFieldSpec,
+    bundle_sample_points,
     exterior_derivative_2form,
-    fd_gradient,
     is_positive_definite,
     lie_derivative_endomorphism,
     lie_derivative_metric,
+    lift_automorphism,
     nijenhuis,
     point_bundle,
     pullback_defect,
@@ -77,6 +80,7 @@ SK_PRESET_NAMES = ("sk_flat", "sk_cubic", "sk_conic")
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 80
+FIBER_SALT = 2000  # fiber points of T*M are drawn at salt + FIBER_SALT
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,11 @@ class SpecialKahlerStructure:
 
     def sample_points(self, count=None, salt=0):
         return self._sampler(count or self.samples, self.rng(salt))
+
+    @cached_property
+    def frame(self):
+        """(g_c, (I1, I2, I3)) on T*M, one frame bundle per structure."""
+        return _frame_fields(self)
 
     def g(self, q):
         return self.metric(q)
@@ -270,8 +279,6 @@ def special_kahler_from_prepotential(
 
 def special_kahler_from_config(config) -> SpecialKahlerStructure:
     """Direct configuration: explicit I components and potential over q1..q2m."""
-    from .structures import Domain
-
     try:
         dim = int(config["dim"])
         if dim % 2:
@@ -437,13 +444,6 @@ def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
     )
 
 
-def _frame_sample_points(sk: SpecialKahlerStructure, count=None, salt=0):
-    qs = sk.sample_points(count, salt=salt)
-    rng = sk.rng(salt + 2000)
-    ps = -1.0 + 2.0 * rng.random((len(qs), sk.dim))
-    return np.hstack([qs, ps])
-
-
 # -- checks ----------------------------------------------------------------
 
 
@@ -497,8 +497,8 @@ def check_hyperkahler(
     fd=False,
 ) -> List[CheckResult]:
     n = sk.dim
-    points = _frame_sample_points(sk, samples)
-    gc_field, I_fields = _frame_fields(sk)
+    points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
+    gc_field, I_fields = sk.frame
     res_quat, res_herm, res_closed, res_shift = (Residual() for _ in range(4))
     rng = sk.rng(31)
     for pt in points:
@@ -549,16 +549,6 @@ def check_hyperkahler(
     ]
 
 
-def lift_cotangent_automorphism(T: AffineAutomorphism, fiber_shift=None):
-    """Psi(q, p) = (B q + c, B^{-T} p + u)."""
-    n = T.A.shape[0]
-    P = np.zeros((2 * n, 2 * n))
-    P[:n, :n] = T.A
-    P[n:, n:] = np.linalg.inv(T.A).T
-    u = np.zeros(n) if fiber_shift is None else np.asarray(fiber_shift, dtype=float)
-    return AffineAutomorphism(P, np.concatenate([T.b, u]), T.tag)
-
-
 def check_invariance_psi_hat(
     sk: SpecialKahlerStructure,
     automorphisms: Sequence[AffineAutomorphism],
@@ -582,12 +572,13 @@ def check_invariance_psi_hat(
                 )
         if not pullback_defect(T, omega, base_points[0])[0] <= tolerance:
             raise NotSymplectic(f"linear part {T.A.tolist()} does not preserve omega")
-    points = _frame_sample_points(sk, samples)
-    gc_field, I_fields = _frame_fields(sk)
+    points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
+    gc_field, I_fields = sk.frame
     shifts = list(fiber_shifts) or [np.zeros(n)]
     residual = Residual()
     for k, T in enumerate(automorphisms):
-        lifted = lift_cotangent_automorphism(T, shifts[k % len(shifts)])
+        # Psi(q, p) = (B q + c, B^{-T} p + u)
+        lifted = lift_automorphism(T, np.linalg.inv(T.A).T, shifts[k % len(shifts)])
         for pt in points:
             defect, scale = pullback_defect(lifted, gc_field, pt)
             residual.add(defect / max(1.0, scale))
@@ -613,60 +604,39 @@ class ConformalHyperKahler:
     xi: VectorFieldSpec  # linear: xi(q) = A q
 
     def __post_init__(self):
-        A, b = self.xi.affine
-        if np.max(np.abs(b)) > 0:
+        if np.max(np.abs(self.xi.b)) > 0:
             raise TranslationUnsupported(
                 "homothetic fields with translation are not supported on T*M"
             )
 
+    @property
+    def metric(self):
+        return self.base.metric
+
     def vertical_linear_part(self):
         """omega A omega^{-1}: the fiber action transported through omega."""
-        A = self.xi.affine[0]
         w = self.base.omega_constant()
-        return w @ A @ np.linalg.inv(w)
+        return w @ self.xi.A @ np.linalg.inv(w)
 
     def lifted_field(self):
         n = self.base.dim
-        A = self.xi.affine[0]
         X = np.zeros((2 * n, 2 * n))
-        X[:n, :n] = A
+        X[:n, :n] = self.xi.A
         X[n:, n:] = self.vertical_linear_part()
         return VectorFieldSpec.from_affine(X)
 
-    def norm_squared(self, q):
-        v = self.xi.value(q)
-        return float(v @ self.base.g(q) @ v)
-
-    def norm_squared_gradient(self, q):
-        """d_k g(xi, xi) = 2 (A^T g xi)_k + dg[k](xi, xi) for the linear xi = A q."""
-        A = self.xi.affine[0]
-        v = self.xi.value(q)
-        dg = self.base.metric.derivative(q)
-        return 2.0 * A.T @ self.base.g(q) @ v + np.einsum("kij,i,j->k", dg, v, v)
-
     def rescaled_metric(self) -> TensorField:
-        """g_chK = g_c / N on T*M, N = pi^* g(xi, xi), differentiated by the
-        quotient rule."""
-        n = self.base.dim
-        gc, _ = _frame_fields(self.base)
-
-        def dfunc(x):
-            N = self.norm_squared(x[:n])
-            dN = np.zeros(2 * n)
-            dN[:n] = self.norm_squared_gradient(x[:n])
-            return gc.derivative(x) / N - np.einsum("k,ij->kij", dN, gc(x)) / N**2
-
-        return TensorField(2 * n, lambda x: gc(x) / self.norm_squared(x[:n]), dfunc)
+        """g_chK = g(xi, xi)^{-1} g_c on T*M."""
+        return conformal_rescaling(self, self.base.frame[0])
 
 
 def check_conformal_hyperkahler(
     chk: ConformalHyperKahler, samples=None, tolerance=1e-5, fd=False
 ) -> List[CheckResult]:
     sk = chk.base
-    n = sk.dim
     qs = sk.sample_points(samples)
-    pts = _frame_sample_points(sk, samples)
-    gc_field, I_fields = _frame_fields(sk)
+    pts = bundle_sample_points(sk, samples, 0, FIBER_SALT)
+    gc_field, I_fields = sk.frame
     X = chk.lifted_field()
     res_base_g, res_base_I = Residual(), Residual()
     for q in qs:
@@ -675,19 +645,11 @@ def check_conformal_hyperkahler(
         res_base_I.add_max_abs(
             lie_derivative_endomorphism(sk.complex_structure, chk.xi, q, fd=fd)
         )
-    g_chk = chk.rescaled_metric()
-    res_norm, res_chk, res_ik, res_control = (Residual() for _ in range(4))
+    res_norm, res_chk, res_control = conformal_flow_residuals(chk, X, gc_field, pts, fd=fd)
+    res_ik = Residual()
     for pt in pts:
-        q = pt[:n]
-        value = chk.norm_squared(q)
-        grad = fd_gradient(chk.norm_squared, q) if fd else chk.norm_squared_gradient(q)
-        lie_n = float(chk.xi.value(q) @ grad)
-        res_norm.add(abs(lie_n - 2.0 * value))
-        res_chk.add_max_abs(lie_derivative_metric(g_chk, X, pt, fd=fd))
         for Ik in I_fields:
             res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=fd))
-        Lraw = lie_derivative_metric(gc_field, X, pt, fd=fd)
-        res_control.add_max_abs(Lraw - 2.0 * gc_field(pt))
     count = len(pts)
     return [
         CheckResult(
@@ -699,14 +661,14 @@ def check_conformal_hyperkahler(
         CheckResult(
             "chk_norm_homothety",
             "L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            res_norm.value,
+            res_norm,
             tolerance,
             count,
         ),
         CheckResult(
             "chk_metric_flow",
             "L_{xi1+xi2} g_chK = 0 for g_chK = g(xi,xi)^{-1} g_c",
-            res_chk.value,
+            res_chk,
             tolerance,
             count,
         ),
@@ -720,7 +682,7 @@ def check_conformal_hyperkahler(
         CheckResult(
             "chk_unscaled_negative_control",
             "without the conformal factor L_{xi1+xi2} g_c = 2 g_c exactly",
-            res_control.value,
+            res_control,
             tolerance,
             count,
         ),

@@ -175,14 +175,18 @@ class Jet:
             m = int(p)
             if m < 0:
                 return self._reciprocal().powc(-m)
-            result = Jet.constant(1.0, self.g.shape[0], real=self.real)
-            base = self
-            while m:
+            if m == 0:
+                return Jet.constant(1.0, self.g.shape[0], real=self.real)
+            # square-and-multiply from the lowest bit, with no product by 1
+            # and no squaring past the highest bit
+            result, base = None, self
+            while True:
                 if m & 1:
-                    result = result * base
-                base = base * base
+                    result = base if result is None else result * base
                 m >>= 1
-            return result
+                if not m:
+                    return result
+                base = base * base
         x = self.f
         if self.real:
             if not x > 0:

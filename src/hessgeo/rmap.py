@@ -20,17 +20,19 @@ from .report import CheckResult
 from .structures import (
     HessianStructure,
     SelfsimilarHessianStructure,
-    norm_squared,
+    conformal_flow_residuals,
+    conformal_rescaling,
 )
 from .tensors import (
     AffineAutomorphism,
     Residual,
     TensorField,
     VectorFieldSpec,
+    bundle_sample_points,
     exterior_derivative_2form,
-    fd_gradient,
     fd_tensor_derivative,
     lie_derivative_metric,
+    lift_automorphism,
     pullback_defect,
     standard_symplectic,
 )
@@ -47,9 +49,6 @@ __all__ = [
     "check_lemma_xi_items",
     "check_conformal_invariance",
 ]
-
-FIBER_BOX = (-1.0, 1.0)
-
 
 def lift_metric_field(g: TensorField):
     """Block lift of any base metric field: g_r = diag(g, g), w = g dx ^ dy."""
@@ -100,12 +99,8 @@ class KahlerLift:
         return 2 * self.base.dim
 
     def sample_points(self, count=None, salt=0):
-        """Base samples paired with fiber points from the default fiber box."""
-        xs = self.base.sample_points(count, salt=salt)
-        rng = self.base.rng(salt + 1000)
-        lo, hi = FIBER_BOX
-        ys = lo + (hi - lo) * rng.random((len(xs), self.base.dim))
-        return np.hstack([xs, ys])
+        """Base samples paired with fiber points drawn from [-1, 1]^n."""
+        return bundle_sample_points(self.base, count, salt, 1000)
 
 
 def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
@@ -137,9 +132,9 @@ class LiftedField:
         A2[n:, n:] = A
         b2 = np.concatenate([np.zeros(n), b])
         return cls(
-            VectorFieldSpec.from_affine(A1, b1),
-            VectorFieldSpec.from_affine(A2, b2),
-            VectorFieldSpec.from_affine(A1 + A2, b1 + b2),
+            VectorFieldSpec(A1, b1),
+            VectorFieldSpec(A2, b2),
+            VectorFieldSpec(A1 + A2, b1 + b2),
         )
 
 
@@ -149,34 +144,17 @@ class ConformalKahlerLift:
     lift: KahlerLift
     fields: LiftedField
 
-    def factor(self, p):
-        """Conformal factor f = g(xi, xi)^{-1} pulled back from the base."""
-        n = self.base.dim
-        return 1.0 / norm_squared(self.base, np.asarray(p)[:n])
-
     def omega_ck(self):
-        lift = self.lift
-        n = self.base.dim
-
-        def func(p):
-            return self.factor(p) * lift.omega(p)
-
-        def dfunc(p):
-            f = self.factor(p)
-            grad_norm = self.base.norm_gradient(np.asarray(p)[:n])
-            df = np.concatenate([-f * f * grad_norm, np.zeros(n)])
-            w = lift.omega(p)
-            return f * lift.omega.derivative(p) + np.einsum("k,ij->kij", df, w)
-
-        return TensorField(2 * n, func, dfunc)
+        """w_cK = g(xi, xi)^{-1} w."""
+        return conformal_rescaling(self.base, self.lift.omega)
 
 
 def build_conformal_lift(structure: SelfsimilarHessianStructure) -> ConformalKahlerLift:
-    A, b = structure.xi.affine
+    xi = structure.xi
     return ConformalKahlerLift(
         base=structure,
         lift=build_kahler_lift(structure.base),
-        fields=LiftedField.from_affine(A, b, structure.base.dim),
+        fields=LiftedField.from_affine(xi.A, xi.b, structure.base.dim),
     )
 
 
@@ -213,9 +191,7 @@ def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=
     residual = Residual()
     for p in points:
         if fd:
-            H = fd_tensor_derivative(
-                lambda q: fd_gradient(lifted_potential, q), p
-            )
+            H = fd_tensor_derivative(lambda q: lifted_potential.jet3(q).gradient, p)
         else:
             H = lifted_potential.jet3(p).hessian
         # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
@@ -231,16 +207,6 @@ def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=
         tolerance=tolerance,
         samples=len(points),
     )
-
-
-def lift_automorphism(T: AffineAutomorphism, fiber_shift=None):
-    """Psi(x, y) = (A x + b, A y + u)."""
-    n = T.A.shape[0]
-    P = np.zeros((2 * n, 2 * n))
-    P[:n, :n] = T.A
-    P[n:, n:] = T.A
-    u = np.zeros(n) if fiber_shift is None else np.asarray(fiber_shift, dtype=float)
-    return AffineAutomorphism(P, np.concatenate([T.b, u]), T.tag)
 
 
 def _require_isometry(structure, autos, tol=1e-8):
@@ -267,7 +233,7 @@ def check_invariance_psi(
     shifts = list(fiber_shifts) or [np.zeros(lift.base.dim)]
     residual = Residual()
     for k, T in enumerate(automorphisms):
-        lifted = lift_automorphism(T, shifts[k % len(shifts)])
+        lifted = lift_automorphism(T, T.A, shifts[k % len(shifts)])
         for p in points:
             defect, scale = pullback_defect(lifted, lift.metric, p)
             conj = np.linalg.solve(lifted.A, lift.J @ lifted.A) - lift.J
@@ -303,7 +269,7 @@ def check_lemma_xi_items(cl: ConformalKahlerLift, samples=None, tolerance=1e-8, 
     pg = projected_metric_field(cl.base.metric)
     points = cl.lift.sample_points(samples)
     J = cl.lift.J
-    A_total = cl.fields.total.affine[0]
+    A_total = cl.fields.total.A
     residual = Residual()
     for p in points:
         L1 = lie_derivative_metric(pg, cl.fields.xi1, p, fd=fd)
@@ -333,37 +299,28 @@ def check_conformal_invariance(
     psi-invariance of w_cK, and the unscaled negative control L w = 2 w."""
     n = cl.base.dim
     points = cl.lift.sample_points(samples)
-    omega_ck = cl.omega_ck()
-    X = cl.fields.total
-    res_norm, res_wck, res_control = Residual(), Residual(), Residual()
-    for p in points:
-        x = p[:n]
-        value = norm_squared(cl.base, x)
-        grad = cl.base.norm_gradient(x, fd=fd)
-        lie_norm = float(cl.fields.xi1.value(p)[:n] @ grad)
-        res_norm.add(abs(lie_norm - 2.0 * value))
-        res_wck.add_max_abs(lie_derivative_metric(omega_ck, X, p, fd=fd))
-        Lraw = lie_derivative_metric(cl.lift.omega, X, p, fd=fd)
-        res_control.add_max_abs(Lraw - 2.0 * cl.lift.omega(p))
+    res_norm, res_wck, res_control = conformal_flow_residuals(
+        cl.base, cl.fields.total, cl.lift.omega, points, fd=fd
+    )
     entries = [
         CheckResult(
             check_id="conformal_norm_homothety",
             claim="L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            residual=res_norm.value,
+            residual=res_norm,
             tolerance=tolerance,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_ck_flow",
             claim="L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
-            residual=res_wck.value,
+            residual=res_wck,
             tolerance=tolerance,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_negative_control",
             claim="without the conformal factor L_{xi1+xi2} omega = 2 omega exactly",
-            residual=res_control.value,
+            residual=res_control,
             tolerance=1e-4,
             samples=len(points),
         ),
@@ -371,9 +328,10 @@ def check_conformal_invariance(
     if automorphisms:
         _require_isometry(cl.base.base, automorphisms)
         shifts = list(fiber_shifts) or [np.zeros(n)]
+        omega_ck = cl.omega_ck()
         res_inv = Residual()
         for k, T in enumerate(automorphisms):
-            lifted = lift_automorphism(T, shifts[k % len(shifts)])
+            lifted = lift_automorphism(T, T.A, shifts[k % len(shifts)])
             for p in points:
                 defect, scale = pullback_defect(lifted, omega_ck, p)
                 res_inv.add(defect / max(1.0, scale))

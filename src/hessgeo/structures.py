@@ -39,6 +39,9 @@ __all__ = [
     "make_hessian_structure",
     "check_selfsimilar",
     "norm_squared",
+    "norm_gradient",
+    "conformal_rescaling",
+    "conformal_flow_residuals",
 ]
 
 DEFAULT_SAMPLES = 100
@@ -151,36 +154,12 @@ class SelfsimilarHessianStructure:
         return self.base.domain
 
     def validate(self, tol=1e-8):
-        points = self.base.sample_points(20, salt=1)
-        if not self.xi.is_affine_certified(points):
-            raise ConfigError("field is not affine (component Hessians do not vanish)")
         for p in self.base.sample_points():
             L = lie_derivative_metric(self.metric, self.xi, p)
             if np.max(np.abs(L - 2.0 * self.metric(p))) > tol:
                 raise ConfigError(f"L_xi g != 2 g at {p}")
             norm_squared(self, p)  # raises NonpositiveNorm when <= 0
         return self
-
-    def norm_gradient(self, p, fd=False):
-        """Gradient of g(xi, xi); analytic from the potential jets unless fd."""
-        p = np.asarray(p, dtype=float)
-        if fd:
-            return fd_gradient(lambda q: norm_squared(self, q, check=False), p)
-        g = self.metric(p)
-        D = self.metric.derivative(p)
-        v = self.xi.value(p)
-        J = self.xi.jacobian(p)
-        return 2.0 * (J.T @ (g @ v)) + np.einsum("i,j,kij->k", v, v, D)
-
-
-def norm_squared(structure: SelfsimilarHessianStructure, p, check=True):
-    """g(xi, xi) at p; strictly positive on a valid structure."""
-    p = np.asarray(p, dtype=float)
-    v = structure.xi.value(p)
-    value = float(v @ structure.metric(p) @ v)
-    if check and value <= 0.0:
-        raise NonpositiveNorm(f"g(xi, xi) = {value} at {p}")
-    return value
 
 
 def check_selfsimilar(
@@ -192,8 +171,6 @@ def check_selfsimilar(
 ):
     """Max over samples of ||L_xi g - 2 g||_inf."""
     points = structure.sample_points(samples)
-    if not xi.is_affine_certified(points[: min(len(points), 20)]):
-        raise ConfigError("field is not affine (component Hessians do not vanish)")
     residual = Residual()
     for p in points:
         L = lie_derivative_metric(structure.metric, xi, p, fd=fd)
@@ -205,6 +182,66 @@ def check_selfsimilar(
         tolerance=tolerance,
         samples=len(points),
     )
+
+
+# -- the conformal rescaling, shared by TM and T*M ----------------------------
+#
+# `s` is any object with a `metric` field and an affine homothetic field `xi`
+# on the base; a field T on the bundle takes points (x, y) whose first half x
+# is the base point.
+
+
+def norm_squared(s, p, check=True):
+    """g(xi, xi) at p; strictly positive on a valid structure."""
+    p = np.asarray(p, dtype=float)
+    v = s.xi.value(p)
+    value = float(v @ s.metric(p) @ v)
+    if check and value <= 0.0:
+        raise NonpositiveNorm(f"g(xi, xi) = {value} at {p}")
+    return value
+
+
+def norm_gradient(s, p, fd=False):
+    """d_k g(xi, xi) = 2 (J^T g xi)_k + dg[k](xi, xi), J the Jacobian of xi;
+    by finite differences under fd."""
+    p = np.asarray(p, dtype=float)
+    if fd:
+        return fd_gradient(lambda q: norm_squared(s, q, check=False), p)
+    v = s.xi.value(p)
+    D = s.metric.derivative(p)
+    return 2.0 * (s.xi.jacobian(p).T @ (s.metric(p) @ v)) + np.einsum("i,j,kij->k", v, v, D)
+
+
+def conformal_rescaling(s, T: TensorField) -> TensorField:
+    """f T with f = 1 / pi^* g(xi, xi), differentiated as f dT + df (x) T
+    with df = -f^2 dN."""
+    n = T.dim // 2
+
+    def func(p):
+        return (1.0 / norm_squared(s, p[:n])) * T(p)
+
+    def dfunc(p):
+        f = 1.0 / norm_squared(s, p[:n])
+        df = np.concatenate([-f * f * norm_gradient(s, p[:n]), np.zeros(n)])
+        return f * T.derivative(p) + np.einsum("k,ij->kij", df, T(p))
+
+    return TensorField(T.dim, func, dfunc)
+
+
+def conformal_flow_residuals(s, X, T: TensorField, points, fd=False):
+    """Residuals over bundle points of the flow of the lifted field X, which
+    moves the base point along xi: (|L_X N - 2 N| for N = pi^* g(xi, xi),
+    |L_X (T / N)|, the unscaled control |L_X T - 2 T|)."""
+    n = T.dim // 2
+    rescaled = conformal_rescaling(s, T)
+    res_norm, res_flow, res_control = Residual(), Residual(), Residual()
+    for p in points:
+        x = p[:n]
+        lie_norm = float(s.xi.value(x) @ norm_gradient(s, x, fd=fd))
+        res_norm.add(abs(lie_norm - 2.0 * norm_squared(s, x)))
+        res_flow.add_max_abs(lie_derivative_metric(rescaled, X, p, fd=fd))
+        res_control.add_max_abs(lie_derivative_metric(T, X, p, fd=fd) - 2.0 * T(p))
+    return res_norm.value, res_flow.value, res_control.value
 
 
 # -- configuration ---------------------------------------------------------
@@ -240,23 +277,38 @@ def make_hessian_structure(config) -> HessianStructure:
     return structure.validate()
 
 
-def field_from_config(config, dim) -> Optional[VectorFieldSpec]:
-    variables = [f"x{k + 1}" for k in range(dim)]
-    components = None
-    if "field" in config:
-        components = tuple(
-            parse_expression(text, variables) for text in config["field"]
-        )
-        if len(components) != dim:
-            raise ConfigError(f"field must have {dim} components")
-    affine = None
+def field_from_config(config, structure: HessianStructure) -> Optional[VectorFieldSpec]:
+    """The affine field xi = A x + b of a config: `field_affine` {A, b}, or
+    `field` components, or both.  Components are certified affine at 20
+    samples (their Hessians vanish) and must agree there with `field_affine`."""
+    dim = structure.dim
+    xi = None
     if "field_affine" in config:
-        affine = (config["field_affine"]["A"], config["field_affine"]["b"])
-    if components is None and affine is None:
-        return None
-    if components is None:
-        return VectorFieldSpec.from_affine(*affine)
-    return VectorFieldSpec.from_components(components, affine)
+        try:
+            xi = VectorFieldSpec(
+                *(np.asarray(config["field_affine"][key], dtype=float) for key in ("A", "b"))
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad field_affine: {exc!r}") from exc
+        if xi.A.shape != (dim, dim) or xi.b.shape != (dim,):
+            raise ConfigError(f"field_affine needs a {dim}x{dim} A and a length-{dim} b")
+    if "field" not in config:
+        return xi
+    variables = [f"x{k + 1}" for k in range(dim)]
+    components = [parse_expression(text, variables) for text in config["field"]]
+    if len(components) != dim:
+        raise ConfigError(f"field must have {dim} components")
+    for p in structure.sample_points(20, salt=1):
+        jets = [c.jet3(p) for c in components]
+        if np.max(np.abs([jet.hessian for jet in jets])) > 1e-10:
+            raise ConfigError("field is not affine (component Hessians do not vanish)")
+        values = np.array([jet.value for jet in jets])
+        if xi is None:
+            A = np.array([jet.gradient for jet in jets])
+            xi = VectorFieldSpec(A, values - A @ p)
+        if np.max(np.abs(values - xi.value(p))) > 1e-12:
+            raise ConfigError(f"field disagrees with field_affine at {p}")
+    return xi
 
 
 def structure_to_config(structure: HessianStructure, xi=None):
@@ -270,11 +322,5 @@ def structure_to_config(structure: HessianStructure, xi=None):
         "samples": structure.samples,
     }
     if xi is not None:
-        if xi.components is not None:
-            config["field"] = [c.serialize() for c in xi.components]
-        if xi.affine is not None:
-            config["field_affine"] = {
-                "A": xi.affine[0].tolist(),
-                "b": xi.affine[1].tolist(),
-            }
+        config["field_affine"] = {"A": xi.A.tolist(), "b": xi.b.tolist()}
     return config

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
     "AffineAutomorphism",
     "Residual",
     "standard_symplectic",
+    "bundle_sample_points",
+    "lift_automorphism",
     "lie_derivative_metric",
     "lie_derivative_endomorphism",
     "exterior_derivative_2form",
@@ -150,57 +152,22 @@ class TensorField:
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """Vector field from component expressions and/or an affine normal form A x + b."""
+    """Affine vector field xi(x) = A x + b."""
 
-    dim: int
-    components: Optional[Tuple[ScalarExpression, ...]] = None
-    affine: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (A, b)
+    A: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def from_affine(cls, A, b=None):
         A = np.asarray(A, dtype=float)
-        b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
-        return cls(A.shape[0], None, (A, b))
-
-    @classmethod
-    def from_components(cls, components, affine=None):
-        comps = tuple(components)
-        if affine is not None:
-            A = np.asarray(affine[0], dtype=float)
-            b = np.asarray(affine[1], dtype=float)
-            affine = (A, b)
-        return cls(len(comps), comps, affine)
+        return cls(A, np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float))
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
-        if self.components is not None:
-            return np.array([c(p) for c in self.components])
-        A, b = self.affine
-        return A @ p + b
+        return self.A @ np.asarray(p, dtype=float) + self.b
 
     def jacobian(self, p):
         """J[i, k] = d_k xi^i."""
-        if self.affine is not None:
-            return self.affine[0]
-        p = np.asarray(p, dtype=float)
-        return np.stack([c.jet3(p).gradient for c in self.components], axis=0)
-
-    def component_hessians(self, p):
-        if self.components is None:
-            return np.zeros((self.dim, self.dim, self.dim))
-        p = np.asarray(p, dtype=float)
-        return np.stack([c.jet3(p).hessian for c in self.components], axis=0)
-
-    def is_affine_certified(self, points, tol=1e-10):
-        """Affine iff every component Hessian vanishes at the sampled points."""
-        for p in points:
-            if np.max(np.abs(self.component_hessians(p))) > tol:
-                return False
-            if self.affine is not None and self.components is not None:
-                A, b = self.affine
-                if np.max(np.abs(self.value(p) - (A @ np.asarray(p) + b))) > 1e-12:
-                    return False
-        return True
+        return self.A
 
 
 @dataclass(frozen=True)
@@ -238,6 +205,23 @@ def standard_symplectic(m):
     Om[:m, m:] = -np.eye(m)
     Om[m:, :m] = np.eye(m)
     return Om
+
+
+def bundle_sample_points(base, count, salt, fiber_salt):
+    """Points (x, y) of a bundle with flat fibers over `base`: base samples
+    paired with fiber points drawn from [-1, 1]^n at salt + fiber_salt."""
+    xs = base.sample_points(count, salt=salt)
+    ys = -1.0 + 2.0 * base.rng(salt + fiber_salt).random((len(xs), base.dim))
+    return np.hstack([xs, ys])
+
+
+def lift_automorphism(T: AffineAutomorphism, fiber_linear, shift):
+    """Psi(x, y) = (A x + b, fiber_linear y + shift) on a bundle with flat fibers."""
+    n = T.A.shape[0]
+    P = np.zeros((2 * n, 2 * n))
+    P[:n, :n] = T.A
+    P[n:, n:] = fiber_linear
+    return AffineAutomorphism(P, np.concatenate([T.b, np.asarray(shift, dtype=float)]), T.tag)
 
 
 def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p, fd=False):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessgeo import structures
+from hessgeo import cmap, structures
 from hessgeo.cli import (
     GEOMETRY_NAMES,
     KINDS,
@@ -150,6 +150,49 @@ def test_config_with_non_homothetic_field_rejected(tmp_path, capsys):
     assert "L_xi g != 2 g" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, code, message",
+    [
+        pytest.param({"field": ["-x1", "-x2"]}, 0, None, id="components"),
+        pytest.param({"field": ["-x1", "-x2"], **FIELD}, 0, None, id="components-and-affine"),
+        pytest.param(
+            {"field_affine": {"A": [[-1.0, 0.0]], "b": [0.0, 0.0]}},
+            2,
+            "field_affine needs a 2x2 A and a length-2 b",
+            id="misshapen-A",
+        ),
+        pytest.param(
+            {"field_affine": {"A": [[-1.0, 0.0], [0.0, -1.0]]}},
+            2,
+            "bad field_affine: KeyError('b')",
+            id="missing-b",
+        ),
+        pytest.param(
+            {"field": ["-x1", "-x2+0.5"], **FIELD}, 2, "field disagrees with field_affine",
+            id="disagreeing",
+        ),
+        pytest.param(
+            {"field": ["x1^2", "x2"]}, 2, "field is not affine", id="quadratic"
+        ),
+    ],
+)
+def test_field_config_boundary(tmp_path, capsys, field, code, message):
+    path = tmp_path / "geom.json"
+    argv = ["check", str(path), "--samples", "5", "--json"]
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **field}))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert f"error: {message}" in err
+        return
+    # the components are the affine field -x: the same report as field_affine
+    path.write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+    passed = {e["check_id"]: e["pass"] for e in json.loads(out)["entries"]}
+    assert passed["selfsimilar_metric"] and passed["conformal_omega_ck_flow"]
+
+
 def test_special_kahler_config_geometry(tmp_path):
     path = tmp_path / "sk.json"
     path.write_text(json.dumps(SK_CONFIG))
@@ -198,6 +241,13 @@ FRAME_DERIVATIVE_CHECKS = (
     "chk_complex_structures_flow",
     "chk_unscaled_negative_control",
 )
+
+
+def test_fd_hessian_of_the_kahler_potential_is_not_round_off_bound(capsys):
+    # an FD derivative of the exact jet gradient; FD of an FD gradient gave 4.7e-6
+    assert main(["check", "orthant2", "--suite", "rmap", "--samples", "20", "--fd-check", "--json"]) == 0
+    entries = {e["check_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert entries["kahler_potential__fd_delta"]["residual"] < 1e-8
 
 
 def test_fd_check_covers_special_kahler_suites(capsys):
@@ -290,6 +340,12 @@ def test_eval_nonfinite_point_rejected(capsys, point):
     assert "point coordinates must be finite" in capsys.readouterr().err
 
 
+def test_eval_at_the_pole_of_the_rescaled_metric_rejected(capsys):
+    # g_chK = g(xi, xi)^{-1} g_c with xi(q) = q; at q = 0 it printed inf and nan
+    assert main(["eval", "sk_flat", "g_chk", "--at=0,0"]) == 2
+    assert "g(xi, xi) = 0.0" in capsys.readouterr().err
+
+
 def _count_validations(monkeypatch):
     counts = {"hessian": 0, "selfsimilar": 0}
     for key, cls in (
@@ -324,6 +380,20 @@ def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
     run_check(geometry, ["all"], None, 42)
     # 6,340 calls for these 1,800 pairs when each field evaluation made its own jet
     assert len(calls) == len(set(calls)) == 1800
+
+
+def test_special_kahler_check_assembles_one_frame_per_point(monkeypatch):
+    calls = []
+    build = cmap.build_hyperkahler
+
+    def counted(sk, q, p=None):
+        calls.append(np.asarray(q).tobytes())
+        return build(sk, q, p)
+
+    monkeypatch.setattr(cmap, "build_hyperkahler", counted)
+    run_check("sk_conic", ["all"], None, 42)
+    # 400 assemblies when each check and the rescaled metric had their own frame
+    assert len(calls) == len(set(calls)) == 100
 
 
 def test_field_config_validates_selfsimilar_once(tmp_path, monkeypatch):

@@ -5,8 +5,8 @@ from hessgeo import cmap
 from hessgeo.cmap import (
     ConformalHyperKahler,
     Prepotential,
+    FIBER_SALT,
     _frame_fields,
-    _frame_sample_points,
     _newton_invert,
     _tensors_at_z,
     build_hyperkahler,
@@ -14,7 +14,6 @@ from hessgeo.cmap import (
     check_hyperkahler,
     check_invariance_psi_hat,
     check_special_kahler_axioms,
-    lift_cotangent_automorphism,
     special_kahler_preset,
     standard_symplectic,
 )
@@ -25,12 +24,14 @@ from hessgeo.errors import (
     UnknownPreset,
 )
 from hessgeo.expressions import parse_expression
+from hessgeo.structures import norm_gradient
 from hessgeo.tensors import (
     AffineAutomorphism,
     TensorField,
     VectorFieldSpec,
-    fd_gradient,
+    bundle_sample_points,
     fd_tensor_derivative,
+    lift_automorphism,
 )
 
 
@@ -151,10 +152,11 @@ def test_psi_hat_rejects_non_isometry():
 
 
 def test_fiber_shift_lift():
-    T = AffineAutomorphism.linear(np.diag([2.0, 0.5]))
-    lifted = lift_cotangent_automorphism(T, np.array([0.3, -0.3]))
-    # the fiber block is the inverse transpose, preserving the pairing
-    assert lifted.A[2:, 2:] == pytest.approx(np.diag([0.5, 2.0]))
+    T = AffineAutomorphism.linear(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    lifted = lift_automorphism(T, np.linalg.inv(T.A).T, np.array([0.3, -0.3]))
+    # the cotangent lift's fiber block B^{-T} preserves the pairing <p, v>
+    p, v = np.array([0.7, -1.2]), np.array([0.4, 2.5])
+    assert (lifted.A[2:, 2:] @ p) @ (T.A @ v) == pytest.approx(p @ v)
     assert lifted.b == pytest.approx([0.0, 0.0, 0.3, -0.3])
 
 
@@ -204,11 +206,11 @@ def test_exact_frame_derivatives_match_fd(name):
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.max(np.abs(exact - fd)) <= 1e-5 * scale, label
 
-    for pt in _frame_sample_points(sk, 4, salt=41):
+    for pt in bundle_sample_points(sk, 4, 41, FIBER_SALT):
         for label, field in fields.items():
             assert_close(field.derivative(pt), fd_tensor_derivative(field, pt), label)
         q = pt[: sk.dim]
-        assert_close(chk.norm_squared_gradient(q), fd_gradient(chk.norm_squared, q), "dN")
+        assert_close(norm_gradient(chk, q), norm_gradient(chk, q, fd=True), "dN")
 
 
 def test_one_newton_inversion_per_darboux_point(monkeypatch):
@@ -237,7 +239,7 @@ def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):
 
     monkeypatch.setattr(cmap, "build_hyperkahler", counted)
     gc, I_fields = _frame_fields(sk)
-    points = _frame_sample_points(sk, 3)
+    points = bundle_sample_points(sk, 3, 0, FIBER_SALT)
     for pt in points:
         for fiber in (pt[sk.dim :], np.zeros(sk.dim)):
             shifted = np.concatenate([pt[: sk.dim], fiber])
@@ -250,7 +252,7 @@ def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):
 def test_cached_darboux_tensors_are_read_only():
     sk = special_kahler_preset("sk_cubic", samples=5)
     q = sk.sample_points(1)[0]
-    pt = _frame_sample_points(sk, 1)[0]
+    pt = bundle_sample_points(sk, 1, 0, FIBER_SALT)[0]
     gc, I_fields = _frame_fields(sk)
     g = TensorField.from_potential(parse_expression("-ln(x1)-ln(x2)", ["x1", "x2"]))
     x = np.array([0.5, 2.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hessgeo.errors import DomainError, Overflow
+from hessgeo.expressions import parse_expression
 from hessgeo.jets import Jet
 
 
@@ -89,3 +90,33 @@ def test_overflow_guard():
     (x,) = variables([800.0])
     with pytest.raises(Overflow):
         x.exp().exp().as_jet3()
+
+
+
+@pytest.mark.parametrize("exponent, products", [(2, 1), (3, 2), (5, 3), (8, 3)])
+def test_integer_power_makes_no_wasted_products(monkeypatch, exponent, products):
+    x = 1.3
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    jet = parse_expression(f"x1^{exponent}", ["x1"]).jet3([x])
+    assert len(calls) == products
+    k = exponent
+    assert jet.value == pytest.approx(x**k, rel=1e-14)
+    assert jet.gradient[0] == pytest.approx(k * x ** (k - 1), rel=1e-14)
+    assert jet.hessian[0, 0] == pytest.approx(k * (k - 1) * x ** (k - 2), rel=1e-14)
+    assert jet.third[0, 0, 0] == pytest.approx(k * (k - 1) * (k - 2) * x ** (k - 3), rel=1e-14)
+
+def test_zero_and_negative_integer_powers():
+    (x,) = variables([2.0])
+    one = x.powc(0).as_jet3()
+    assert one.value == 1.0 and not np.any(one.gradient) and not np.any(one.third)
+    inverse_cube = x.powc(-3).as_jet3()
+    assert inverse_cube.value == pytest.approx(0.125)
+    assert inverse_cube.gradient[0] == pytest.approx(-3.0 / 16.0)
+    assert inverse_cube.third[0, 0, 0] == pytest.approx(-60.0 / 2.0**6)

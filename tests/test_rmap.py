@@ -13,11 +13,11 @@ from hessgeo.rmap import (
     check_kahler,
     check_lemma_xi_items,
     check_potential_identity,
-    lift_automorphism,
 )
 from hessgeo.tensors import (
     AffineAutomorphism,
     exterior_derivative_2form,
+    lift_automorphism,
     standard_symplectic,
 )
 
@@ -80,7 +80,7 @@ def test_non_isometry_rejected(orthant_lift):
 
 def test_lift_automorphism_shape():
     T = AffineAutomorphism(np.diag([2.0, 0.5]), np.array([0.1, 0.2]))
-    lifted = lift_automorphism(T, np.array([1.0, -1.0]))
+    lifted = lift_automorphism(T, T.A, np.array([1.0, -1.0]))
     assert lifted.A == pytest.approx(np.diag([2.0, 0.5, 2.0, 0.5]))
     assert lifted.b == pytest.approx([0.1, 0.2, 1.0, -1.0])
 

@@ -186,12 +186,3 @@ def test_residual_lets_nan_and_inf_fail_the_check(bad, position):
     nan_matrix = np.array([[1e-12, bad], [0.0, 1e-13]])
     residual = Residual().add_max_abs(np.zeros(2), nan_matrix, np.ones(1) * 1e-12)
     assert not CheckResult("c", "claim", residual.value, 1e-6, 3).passed
-
-
-def test_affine_field_certification():
-    points = np.random.default_rng([5, 5]).uniform(0.5, 1.5, (10, 2))
-    affine = VectorFieldSpec.from_affine(np.eye(2), np.array([1.0, 0.0]))
-    assert affine.is_affine_certified(points)
-    comps = tuple(parse_expression(t, VARS) for t in ("x1^2", "x2"))
-    quadratic = VectorFieldSpec.from_components(comps)
-    assert not quadratic.is_affine_certified(points)
