@@ -12,7 +12,7 @@ Run with:  python demos/cotangent_lift.py
 import numpy as np
 
 from hessgeo import (
-    ConformalHyperKahler,
+    SelfsimilarHessianStructure,
     build_hyperkahler,
     check_conformal_hyperkahler,
     check_hyperkahler,
@@ -50,8 +50,8 @@ def main():
 
     print()
     print("conformal rescaling along the Euler field:")
-    chk = ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
-    for entry in check_conformal_hyperkahler(chk, 10):
+    euler = SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+    for entry in check_conformal_hyperkahler(euler, 10):
         mark = "ok" if entry.passed else "FAIL"
         print(f"[{mark}] {entry.claim}  (residual {entry.residual:.2e})")
 

@@ -12,7 +12,6 @@ Run with:  python demos/tangent_lift.py
 import numpy as np
 
 from hessgeo import (
-    build_conformal_lift,
     build_kahler_lift,
     check_conformal_invariance,
     check_kahler,
@@ -42,7 +41,7 @@ def main():
 
     print()
     print("conformal rescaling along xi = -rho:")
-    for entry in check_conformal_invariance(build_conformal_lift(ss), 40):
+    for entry in check_conformal_invariance(ss, 40):
         mark = "ok" if entry.passed else "FAIL"
         print(f"[{mark}] {entry.claim}  (residual {entry.residual:.2e})")
 

@@ -22,7 +22,6 @@ from .errors import (
     NonpositiveNorm,
     NotAnIsometry,
     NotPositiveDefinite,
-    NotSymplectic,
     Overflow,
     SingularMetric,
     TranslationUnsupported,
@@ -54,10 +53,7 @@ from .structures import (
 )
 from .cones import PRESET_NAMES, ConePreset, dilation_law, preset, radiant_law
 from .rmap import (
-    ConformalKahlerLift,
     KahlerLift,
-    LiftedField,
-    build_conformal_lift,
     build_kahler_lift,
     check_conformal_invariance,
     check_invariance_psi,
@@ -67,7 +63,6 @@ from .rmap import (
 )
 from .cmap import (
     SK_PRESET_NAMES,
-    ConformalHyperKahler,
     HyperKahlerFrame,
     Prepotential,
     SpecialKahlerStructure,

@@ -26,6 +26,7 @@ from .structures import (
     HessianStructure,
     SelfsimilarHessianStructure,
     check_selfsimilar,
+    conformal_rescaling,
     field_from_config,
     make_hessian_structure,
 )
@@ -35,8 +36,8 @@ from .tensors import (
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
+    invariance_defect,
     is_positive_definite,
-    pullback_defect,
     symmetry_defect,
 )
 
@@ -71,21 +72,16 @@ def noncone_structure(seed=42, samples=100) -> HessianStructure:
     )
 
 
-def _special_kahler(sk):
-    """The cubic prepotential is not homogeneous of degree 2, so sk_cubic has
-    no linear homothetic field and no conformal suite."""
-    return ("sk" if sk.name == "sk_cubic" else "sk_homothetic"), sk
-
-
 def resolve_geometry(name, seed, samples):
     """Returns (kind, object); the kind, a key of KINDS, fixes the suites
     and tensors the geometry offers."""
     if name in cones_mod.PRESET_NAMES:
         return "cone", cones_mod.preset(name, seed)
     if name in cmap_mod.SK_PRESET_NAMES:
-        return _special_kahler(
-            cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
-        )
+        # the cubic prepotential is not homogeneous of degree 2, so sk_cubic
+        # has no linear homothetic field and no conformal suite
+        sk = cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
+        return ("sk" if name == "sk_cubic" else "sk_homothetic"), sk
     if name == "noncone_counterexample":
         return "noncone", noncone_structure(seed=seed, samples=samples)
     if name.endswith(".json"):
@@ -94,9 +90,9 @@ def resolve_geometry(name, seed, samples):
         config.setdefault("seed", seed)
         config.setdefault("samples", samples)
         if "F" in config:
-            return _special_kahler(cmap_mod.prepotential_from_config(config))
+            return "sk_homothetic", cmap_mod.prepotential_from_config(config)
         if "I" in config:
-            return _special_kahler(cmap_mod.special_kahler_from_config(config))
+            return "sk_homothetic", cmap_mod.special_kahler_from_config(config)
         structure = make_hessian_structure(config)
         xi = field_from_config(config, structure)
         if xi is None:
@@ -180,8 +176,7 @@ def selfsimilar_suite(
     entries = [
         check_selfsimilar(structure.base, structure.xi, samples, fd=fd)
     ]
-    cl = rmap_mod.build_conformal_lift(structure)
-    entries.append(rmap_mod.check_lemma_xi_items(cl, samples, fd=fd))
+    entries.append(rmap_mod.check_lemma_xi_items(structure, samples, fd=fd))
     entries.append(_assumed_hypotheses())
     return entries
 
@@ -192,17 +187,13 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     entries.append(cones_mod.radiant_law(cone, samples=samples))
     full = cones_mod.automorphism_samples(cone, 10, unimodular=False)
     unim = cones_mod.automorphism_samples(cone, 10, unimodular=True)
-    res_full, res_unim = Residual(), Residual()
-    for structure, autos, res in ((cone.can, full, res_full), (cone.con, unim, res_unim)):
-        for T in autos:
-            for p in structure.sample_points(20, salt=2):
-                defect, scale = pullback_defect(T, structure.metric, p)
-                res.add(defect / scale)
+    res_full = invariance_defect(full, cone.can.sample_points(20, salt=2), (cone.can.metric,))
+    res_unim = invariance_defect(unim, cone.con.sample_points(20, salt=2), (cone.con.metric,))
     entries.append(
         CheckResult(
             "cone_full_invariance",
             "g_can is invariant under the sampled full automorphism group",
-            res_full.value,
+            res_full,
             1e-8,
             20 * len(full),
         )
@@ -211,7 +202,7 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
         CheckResult(
             "cone_unimodular_invariance",
             "g_con is invariant under the sampled unimodular automorphisms",
-            res_unim.value,
+            res_unim,
             1e-8,
             20 * len(unim),
         )
@@ -219,16 +210,16 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     # negative control phrased as an exact value: under x -> 2x the relative
     # defect of g_con equals 1 - 2^(-n), comfortably above 0.5
     expected = 1.0 - 2.0 ** (-cone.dim)
-    T = cones_mod.AffineAutomorphism.linear(2.0 * np.eye(cone.dim))
-    measured = Residual()
-    for p in cone.con.sample_points(20, salt=4):
-        defect, scale = pullback_defect(T, cone.con.metric, p)
-        measured.add(defect / scale)
+    measured = invariance_defect(
+        [cones_mod.AffineAutomorphism.linear(2.0 * np.eye(cone.dim))],
+        cone.con.sample_points(20, salt=4),
+        (cone.con.metric,),
+    )
     entries.append(
         CheckResult(
             "cone_negative_control",
             "non-unimodular scaling defect of g_con equals 1 - 2^(-n) > 0.5 exactly",
-            abs(measured.value - expected),
+            abs(measured - expected),
             1e-8,
             20,
         )
@@ -239,12 +230,11 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
 def cone_conformal_suite(
     cone: cones_mod.ConePreset, samples=None, fd=False
 ) -> List[CheckResult]:
-    cl = rmap_mod.build_conformal_lift(cone.selfsimilar)
     unim = cones_mod.automorphism_samples(cone, 5, unimodular=True)
     rng = np.random.default_rng([cone.seed, 23])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in unim]
     entries = rmap_mod.check_conformal_invariance(
-        cl, samples or 50, automorphisms=unim, fiber_shifts=shifts, fd=fd
+        cone.selfsimilar, samples or 50, automorphisms=unim, fiber_shifts=shifts, fd=fd
     )
     # orbit reachability from the sampled generators only: informational,
     # transitivity itself is not decidable from samples
@@ -282,18 +272,17 @@ def cmap_suite(sk, samples=None, fd=False) -> List[CheckResult]:
 
 
 def _sk_automorphisms(sk):
-    """Holomorphic isometries with fiber shifts; rotations generated by the
-    constant I for the flat structure, the identity otherwise."""
+    """Holomorphic isometries with fiber shifts: the rotations the structure
+    states, generated by its constant I, or else the identity."""
     rng = np.random.default_rng([sk.seed, 29])
     shifts = [rng.uniform(-1.0, 1.0, sk.dim) for _ in range(3)]
-    if sk.name == "sk_flat":
-        q0 = sk.sample_points(1, salt=9)[0]
-        I = sk.I(q0)
+    if sk.rotations:
+        I = sk.I(sk.sample_points(1, salt=9)[0])
         autos = [
             cmap_mod.AffineAutomorphism.linear(
                 np.cos(t) * np.eye(sk.dim) + np.sin(t) * I
             )
-            for t in (0.3, -1.1, 2.0)
+            for t in sk.rotations
         ]
     else:
         autos = [
@@ -302,13 +291,13 @@ def _sk_automorphisms(sk):
     return autos, shifts
 
 
-def _euler_conformal(sk):
-    """The conformal rescaling by the Euler field xi(q) = q."""
-    return cmap_mod.ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+def _euler_selfsimilar(sk):
+    """sk with the Euler field xi(q) = q as its homothetic field."""
+    return SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
 
 
 def sk_conformal_suite(sk, samples=None, fd=False) -> List[CheckResult]:
-    entries = cmap_mod.check_conformal_hyperkahler(_euler_conformal(sk), samples, fd=fd)
+    entries = cmap_mod.check_conformal_hyperkahler(_euler_selfsimilar(sk), samples, fd=fd)
     entries.append(_assumed_hypotheses())
     return entries
 
@@ -374,7 +363,7 @@ def _frame_tensor(name):
     )
 
 
-def _sk_kind(suites):
+def _sk_kind(suites, tensors=None):
     return Kind(
         suites={"cmap": cmap_suite, **suites},
         fd_suites=("cmap", *suites),
@@ -383,7 +372,7 @@ def _sk_kind(suites):
             "I": lambda sk, q: sk.I(q),
             "omega": lambda sk, q: sk.omega(q),
             **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
-            "g_chk": lambda sk, p: _euler_conformal(sk).rescaled_metric()(p),
+            **(tensors or {}),
         },
         base_tensors=("g", "I", "omega"),
         # a special Kahler structure lives where its metric (Im F'') is positive definite
@@ -406,9 +395,9 @@ KINDS = {
         tensors={
             "gcan": lambda cone, x: cone.can.metric(x),
             "gcon": lambda cone, x: cone.con.metric(x),
-            "omega_ck": lambda cone, p: rmap_mod.build_conformal_lift(
-                cone.selfsimilar
-            ).omega_ck()(p),
+            "omega_ck": lambda cone, p: conformal_rescaling(
+                cone.selfsimilar, rmap_mod.build_kahler_lift(cone.selfsimilar.base).omega
+            )(p),
         },
         base_tensors=("g", "gcan", "gcon"),
     ),
@@ -426,13 +415,18 @@ KINDS = {
         suites={
             "selfsimilar": selfsimilar_suite,
             "conformal": lambda ss, samples, fd: rmap_mod.check_conformal_invariance(
-                rmap_mod.build_conformal_lift(ss), samples, fd=fd
+                ss, samples, fd=fd
             ),
         },
         fd_suites=("rmap", "selfsimilar", "conformal"),
     ),
     "sk": _sk_kind({}),
-    "sk_homothetic": _sk_kind({"conformal": sk_conformal_suite}),
+    "sk_homothetic": _sk_kind(
+        {"conformal": sk_conformal_suite},
+        {
+            "g_chk": lambda sk, p: conformal_rescaling(_euler_selfsimilar(sk), sk.frame[0])(p),
+        },
+    ),
 }
 
 

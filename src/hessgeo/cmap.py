@@ -17,9 +17,9 @@ On T*M = M x (R^{2m})*, with the flat splitting, the frame is
 Its derivatives are exact: they follow from g, I, dg and dI by the product
 rule and d(M^{-1}) = -M^{-1} dM M^{-1}.
 
-The conformal rescaling uses a linear homothetic field xi(q) = A q; its
-vertical lift is transported through the w-identification of fibers:
-xi_2 = (0, w A w^{-1} p).
+The conformal rescaling takes a selfsimilar structure (sk, xi) with a linear
+homothetic field xi(q) = A q; its vertical lift is transported through the
+w-identification of fibers: xi_2 = (0, w A w^{-1} p).
 """
 
 from __future__ import annotations
@@ -33,30 +33,29 @@ import numpy as np
 from .errors import (
     ConfigError,
     NewtonDivergence,
-    NotAnIsometry,
     NotPositiveDefinite,
-    NotSymplectic,
     SingularMetric,
     TranslationUnsupported,
     UnknownPreset,
 )
-from .expressions import ScalarExpression, eval_complex, parse_expression
+from .expressions import ScalarExpression, parse_expression
 from .report import CheckResult
-from .structures import Domain, conformal_flow_residuals, conformal_rescaling
+from .structures import Domain, SelfsimilarHessianStructure, conformal_flow_residuals
 from .tensors import (
     AffineAutomorphism,
     Residual,
     TensorField,
-    VectorFieldSpec,
     bundle_sample_points,
     exterior_derivative_2form,
+    invariance_defect,
     is_positive_definite,
     lie_derivative_endomorphism,
     lie_derivative_metric,
-    lift_automorphism,
+    lift_automorphisms,
+    lift_field,
     nijenhuis,
     point_bundle,
-    pullback_defect,
+    require_isometry,
     standard_symplectic,
     symmetry_defect,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "Prepotential",
     "SpecialKahlerStructure",
     "HyperKahlerFrame",
-    "ConformalHyperKahler",
     "special_kahler_from_prepotential",
     "special_kahler_preset",
     "SK_PRESET_NAMES",
@@ -96,7 +94,7 @@ class Prepotential:
         return w[: self.m] + 1j * w[self.m :]
 
     def jets(self, z):
-        return eval_complex(self.F, np.asarray(z, dtype=np.complex128))
+        return self.F.jet3(np.asarray(z, dtype=np.complex128))
 
     def sample_z(self, count, rng):
         lo, hi = self.zbox[:, 0], self.zbox[:, 1]
@@ -136,6 +134,9 @@ class SpecialKahlerStructure:
         self.seed = seed
         self.samples = samples
         self.omega_scale = None  # lambda with omega = lambda * Omega
+        # angles t of the holomorphic isometries cos t + sin t I, set by a
+        # preset whose I is constant
+        self.rotations = ()
 
     def rng(self, salt=0):
         return np.random.default_rng([self.seed, salt])
@@ -364,7 +365,10 @@ def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
         raise UnknownPreset(name)
     config["seed"] = seed
     config["samples"] = samples
-    return prepotential_from_config(config)
+    structure = prepotential_from_config(config)
+    if name == "sk_flat":
+        structure.rotations = (0.3, -1.1, 2.0)
+    return structure
 
 
 # -- hyper-Kahler frame ----------------------------------------------------
@@ -448,7 +452,7 @@ def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
 
 
 def check_special_kahler_axioms(
-    sk: SpecialKahlerStructure, samples=None, tolerance=1e-6, fd=False
+    sk: SpecialKahlerStructure, samples=None, fd=False
 ) -> List[CheckResult]:
     points = sk.sample_points(samples)
     n = sk.dim
@@ -465,6 +469,7 @@ def check_special_kahler_axioms(
         if not is_positive_definite(g):
             raise NotPositiveDefinite(q)
     count = len(points)
+    tolerance = 1e-6
     return [
         CheckResult("sk_complex_structure", "I(q)^2 = -Id", res_sq.value, tolerance, count),
         CheckResult("sk_hermitian", "g(I., I.) = g", res_herm.value, tolerance, count),
@@ -488,14 +493,7 @@ def check_special_kahler_axioms(
     ]
 
 
-def check_hyperkahler(
-    sk: SpecialKahlerStructure,
-    samples=None,
-    quaternion_tolerance=1e-8,
-    closedness_tolerance=1e-5,
-    shift_tolerance=1e-12,
-    fd=False,
-) -> List[CheckResult]:
+def check_hyperkahler(sk: SpecialKahlerStructure, samples=None, fd=False) -> List[CheckResult]:
     n = sk.dim
     points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
@@ -522,28 +520,28 @@ def check_hyperkahler(
             "hk_quaternion",
             "I1, I2, I3 = I1 I2 satisfy the quaternion relations",
             res_quat.value,
-            quaternion_tolerance,
+            1e-8,
             count,
         ),
         CheckResult(
             "hk_hermitian",
             "g_c is Hermitian for each of I1, I2, I3",
             res_herm.value,
-            quaternion_tolerance,
+            1e-8,
             count,
         ),
         CheckResult(
             "hk_closed_forms",
             "the three Kahler forms g_c(I_k ., .) are closed on T*M",
             res_closed.value,
-            closedness_tolerance,
+            1e-5,
             min(count, 20),
         ),
         CheckResult(
             "hk_fiber_shift",
             "the frame is exactly invariant under fiber translations",
             res_shift.value,
-            shift_tolerance,
+            1e-12,
             count,
         ),
     ]
@@ -554,43 +552,24 @@ def check_invariance_psi_hat(
     automorphisms: Sequence[AffineAutomorphism],
     fiber_shifts: Sequence[np.ndarray] = (),
     samples=None,
-    tolerance=1e-8,
 ) -> CheckResult:
-    n = sk.dim
-    base_points = sk.sample_points(10, salt=3)
-    omega = TensorField.constant(sk.omega_constant())
-    for T in automorphisms:
-        for q in base_points:
-            defect, scale = pullback_defect(T, sk.metric, q)
-            if not defect <= tolerance * max(1.0, scale):
-                raise NotAnIsometry(f"linear part {T.A.tolist()} scales the metric")
-            if not np.max(
-                np.abs(np.linalg.solve(T.A, sk.I(T(q)) @ T.A) - sk.I(q))
-            ) <= tolerance:
-                raise NotAnIsometry(
-                    f"linear part {T.A.tolist()} does not preserve I"
-                )
-        if not pullback_defect(T, omega, base_points[0])[0] <= tolerance:
-            raise NotSymplectic(f"linear part {T.A.tolist()} does not preserve omega")
+    """Invariance of the frame under Psi(q, p) = (B q + c, B^{-T} p + u) for
+    holomorphic isometries B q + c; they preserve omega = I^T g as well."""
+    require_isometry(sk, automorphisms, (sk.complex_structure,))
     points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    shifts = list(fiber_shifts) or [np.zeros(n)]
-    residual = Residual()
-    for k, T in enumerate(automorphisms):
-        # Psi(q, p) = (B q + c, B^{-T} p + u)
-        lifted = lift_automorphism(T, np.linalg.inv(T.A).T, shifts[k % len(shifts)])
-        for pt in points:
-            defect, scale = pullback_defect(lifted, gc_field, pt)
-            residual.add(defect / max(1.0, scale))
-            image = lifted(pt)
-            for Ik_field in I_fields:
-                conj = np.linalg.solve(lifted.A, Ik_field(image) @ lifted.A)
-                residual.add_max_abs(conj - Ik_field(pt))
+    residual = invariance_defect(
+        lift_automorphisms(automorphisms, lambda A: np.linalg.inv(A).T, fiber_shifts),
+        points,
+        (gc_field,),
+        I_fields,
+        floor=1.0,
+    )
     return CheckResult(
         "hk_psi_hat_invariance",
         "the frame is invariant under lifted holomorphic isometries",
-        residual.value,
-        tolerance,
+        residual,
+        1e-8,
         len(points) * max(1, len(automorphisms)),
     )
 
@@ -598,59 +577,35 @@ def check_invariance_psi_hat(
 # -- conformal rescaling ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformalHyperKahler:
-    base: SpecialKahlerStructure
-    xi: VectorFieldSpec  # linear: xi(q) = A q
-
-    def __post_init__(self):
-        if np.max(np.abs(self.xi.b)) > 0:
-            raise TranslationUnsupported(
-                "homothetic fields with translation are not supported on T*M"
-            )
-
-    @property
-    def metric(self):
-        return self.base.metric
-
-    def vertical_linear_part(self):
-        """omega A omega^{-1}: the fiber action transported through omega."""
-        w = self.base.omega_constant()
-        return w @ self.xi.A @ np.linalg.inv(w)
-
-    def lifted_field(self):
-        n = self.base.dim
-        X = np.zeros((2 * n, 2 * n))
-        X[:n, :n] = self.xi.A
-        X[n:, n:] = self.vertical_linear_part()
-        return VectorFieldSpec.from_affine(X)
-
-    def rescaled_metric(self) -> TensorField:
-        """g_chK = g(xi, xi)^{-1} g_c on T*M."""
-        return conformal_rescaling(self, self.base.frame[0])
-
-
 def check_conformal_hyperkahler(
-    chk: ConformalHyperKahler, samples=None, tolerance=1e-5, fd=False
+    ss: SelfsimilarHessianStructure, samples=None, fd=False
 ) -> List[CheckResult]:
-    sk = chk.base
+    """Conformal flow suite on T*M for the lifted field X = (A q, w A w^{-1} p),
+    whose fiber part is xi transported through w."""
+    sk = ss.base
+    if np.max(np.abs(ss.xi.b)) > 0:
+        raise TranslationUnsupported(
+            "homothetic fields with translation are not supported on T*M"
+        )
+    w = sk.omega_constant()
+    X = lift_field(ss.xi, w @ ss.xi.A @ np.linalg.inv(w), np.zeros(sk.dim))
     qs = sk.sample_points(samples)
     pts = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    X = chk.lifted_field()
     res_base_g, res_base_I = Residual(), Residual()
     for q in qs:
-        L = lie_derivative_metric(sk.metric, chk.xi, q, fd=fd)
+        L = lie_derivative_metric(sk.metric, ss.xi, q, fd=fd)
         res_base_g.add_max_abs(L - 2.0 * sk.g(q))
         res_base_I.add_max_abs(
-            lie_derivative_endomorphism(sk.complex_structure, chk.xi, q, fd=fd)
+            lie_derivative_endomorphism(sk.complex_structure, ss.xi, q, fd=fd)
         )
-    res_norm, res_chk, res_control = conformal_flow_residuals(chk, X, gc_field, pts, fd=fd)
+    res_norm, res_chk, res_control = conformal_flow_residuals(ss, X, gc_field, pts, fd=fd)
     res_ik = Residual()
     for pt in pts:
         for Ik in I_fields:
             res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=fd))
     count = len(pts)
+    tolerance = 1e-5
     return [
         CheckResult(
             "chk_base_homothety", "L_xi g = 2 g on the base", res_base_g.value, tolerance, len(qs)

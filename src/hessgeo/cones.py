@@ -24,8 +24,8 @@ from .tensors import (
     AffineAutomorphism,
     Residual,
     VectorFieldSpec,
+    invariance_defect,
     lie_derivative_metric,
-    pullback_defect,
 )
 
 __all__ = ["ConePreset", "preset", "PRESET_NAMES", "dilation_law", "radiant_law",
@@ -216,34 +216,34 @@ def automorphism_samples(cone: ConePreset, count=20, unimodular=False):
 # -- verified laws ---------------------------------------------------------
 
 
-def dilation_law(cone: ConePreset, q, samples=50, tolerance=1e-8):
+def dilation_law(cone: ConePreset, q, samples=50):
     """Relative defect of lambda_q^* g_con = q^{-n} g_con."""
-    T = AffineAutomorphism.linear(q * np.eye(cone.dim))
-    factor = q ** (-cone.dim)
-    residual = Residual()
-    for p in cone.con.sample_points(samples):
-        defect, scale = pullback_defect(T, cone.con.metric, p, factor)
-        residual.add(defect / scale)
+    residual = invariance_defect(
+        [AffineAutomorphism.linear(q * np.eye(cone.dim))],
+        cone.con.sample_points(samples),
+        (cone.con.metric,),
+        factor=q ** (-cone.dim),
+    )
     return CheckResult(
         check_id=f"dilation_law_q{q}",
         claim=f"pullback of g_con under x -> {q} x equals {q}^(-n) g_con",
-        residual=residual.value,
-        tolerance=tolerance,
+        residual=residual,
+        tolerance=1e-8,
         samples=samples,
     )
 
 
-def radiant_law(cone: ConePreset, samples=50, tolerance=1e-8, fd=False):
+def radiant_law(cone: ConePreset, samples=50):
     """Max of ||L_rho g_con + n g_con||_inf over samples."""
     metric = cone.con.metric
     residual = Residual()
     for p in cone.con.sample_points(samples):
-        L = lie_derivative_metric(metric, cone.rho, p, fd=fd)
+        L = lie_derivative_metric(metric, cone.rho, p)
         residual.add_max_abs(L + cone.dim * metric(p))
     return CheckResult(
         check_id="radiant_law",
         claim="L_rho g_con = -n g_con for the radiant field rho",
         residual=residual.value,
-        tolerance=tolerance,
+        tolerance=1e-8,
         samples=samples,
     )

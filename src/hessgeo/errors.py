@@ -53,11 +53,8 @@ class NonpositiveNorm(HessgeoError):
 
 
 class NotAnIsometry(HessgeoError):
-    """A map passed as an automorphism does not preserve the base metric."""
-
-
-class NotSymplectic(HessgeoError):
-    """A map passed as an automorphism does not preserve the symplectic form."""
+    """A map passed as an automorphism does not preserve the base metric (or
+    a stated endomorphism field such as I)."""
 
 
 class NewtonDivergence(HessgeoError):

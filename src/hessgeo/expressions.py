@@ -30,9 +30,9 @@ from .errors import (
     Overflow,
     UnknownIdentifier,
 )
-from .jets import Jet, Jet3
+from .jets import Jet
 
-__all__ = ["ScalarExpression", "parse_expression", "eval_complex"]
+__all__ = ["ScalarExpression", "parse_expression"]
 
 _FUNCTIONS = {"ln": 1, "exp": 1, "sqrt": 1, "pow": 2}
 
@@ -334,14 +334,3 @@ def parse_expression(text, variables, mode="real"):
     tokens = _tokenize(text)
     ast = _Parser(tokens, variables, mode).parse()
     return ScalarExpression(ast, tuple(variables), mode)
-
-
-def eval_complex(expression, z):
-    """Holomorphic derivatives to order three of a complex expression at `z`."""
-    out = expression.jet3(np.asarray(z, dtype=np.complex128))
-    return Jet3(
-        complex(out.value),
-        out.gradient.astype(np.complex128),
-        out.hessian.astype(np.complex128),
-        out.third.astype(np.complex128),
-    )

@@ -3,8 +3,8 @@
 With flat base coordinates x and fiber coordinates y, the complex structure
 sends d/dx^i to d/dy^i, the lifted metric is block-diagonal (g(x), g(x)), and
 the Kahler form is w = g_ij(x) dx^i ^ dy^j.  A selfsimilar base additionally
-yields the conformal rescaling w_cK = g(xi, xi)^{-1} w together with the
-lifted homothetic field.
+yields the conformal rescaling w_cK = g(xi, xi)^{-1} w, invariant under the
+flow of the lifted homothetic field (A x + b, A y + b).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotAnIsometry
 from .expressions import parse_expression
 from .report import CheckResult
 from .structures import (
@@ -31,16 +30,16 @@ from .tensors import (
     bundle_sample_points,
     exterior_derivative_2form,
     fd_tensor_derivative,
+    invariance_defect,
     lie_derivative_metric,
-    lift_automorphism,
-    pullback_defect,
+    lift_automorphisms,
+    lift_field,
+    require_isometry,
     standard_symplectic,
 )
 
 __all__ = [
     "KahlerLift",
-    "LiftedField",
-    "ConformalKahlerLift",
     "build_kahler_lift",
     "lift_metric_field",
     "check_kahler",
@@ -113,55 +112,10 @@ def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
     )
 
 
-@dataclass(frozen=True)
-class LiftedField:
-    """xi_1 = (xi(x), 0) and xi_2 = (0, xi(y)) for an affine base field."""
-
-    xi1: VectorFieldSpec
-    xi2: VectorFieldSpec
-    total: VectorFieldSpec
-
-    @classmethod
-    def from_affine(cls, A, b, n):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        A1 = np.zeros((2 * n, 2 * n))
-        A1[:n, :n] = A
-        b1 = np.concatenate([b, np.zeros(n)])
-        A2 = np.zeros((2 * n, 2 * n))
-        A2[n:, n:] = A
-        b2 = np.concatenate([np.zeros(n), b])
-        return cls(
-            VectorFieldSpec(A1, b1),
-            VectorFieldSpec(A2, b2),
-            VectorFieldSpec(A1 + A2, b1 + b2),
-        )
-
-
-@dataclass(frozen=True)
-class ConformalKahlerLift:
-    base: SelfsimilarHessianStructure
-    lift: KahlerLift
-    fields: LiftedField
-
-    def omega_ck(self):
-        """w_cK = g(xi, xi)^{-1} w."""
-        return conformal_rescaling(self.base, self.lift.omega)
-
-
-def build_conformal_lift(structure: SelfsimilarHessianStructure) -> ConformalKahlerLift:
-    xi = structure.xi
-    return ConformalKahlerLift(
-        base=structure,
-        lift=build_kahler_lift(structure.base),
-        fields=LiftedField.from_affine(xi.A, xi.b, structure.base.dim),
-    )
-
-
 # -- checks ----------------------------------------------------------------
 
 
-def check_kahler(lift: KahlerLift, samples=None, tolerance=1e-5, fd=False):
+def check_kahler(lift: KahlerLift, samples=None, fd=False):
     """Closedness of w (and exact Hermitian block identity of g_r)."""
     points = lift.sample_points(samples)
     residual = Residual()
@@ -174,12 +128,12 @@ def check_kahler(lift: KahlerLift, samples=None, tolerance=1e-5, fd=False):
         check_id="kahler_closed",
         claim="d(omega) = 0 and g_r(J., J.) = g_r for the lifted structure",
         residual=residual.value,
-        tolerance=tolerance,
+        tolerance=1e-5,
         samples=len(points),
     )
 
 
-def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=False):
+def check_potential_identity(lift: KahlerLift, samples=None, fd=False):
     """g_r equals the complex Hessian of 4 phi(x) on M x R^n."""
     base = lift.base
     n = base.dim
@@ -204,20 +158,9 @@ def check_potential_identity(lift: KahlerLift, samples=None, tolerance=1e-8, fd=
         check_id="kahler_potential",
         claim="g_r equals the complex Hessian of 4 pi^* phi",
         residual=residual.value,
-        tolerance=tolerance,
+        tolerance=1e-8,
         samples=len(points),
     )
-
-
-def _require_isometry(structure, autos, tol=1e-8):
-    points = structure.sample_points(10, salt=3)
-    for T in autos:
-        for p in points:
-            defect, scale = pullback_defect(T, structure.metric, p)
-            if not defect <= tol * max(1.0, scale):
-                raise NotAnIsometry(
-                    f"{T.A.tolist()} changes the base metric (defect {defect:.2e})"
-                )
 
 
 def check_invariance_psi(
@@ -225,24 +168,22 @@ def check_invariance_psi(
     automorphisms: Sequence[AffineAutomorphism],
     fiber_shifts: Sequence[np.ndarray],
     samples=None,
-    tolerance=1e-8,
 ):
     """Invariance of (g_r, J) under lifted automorphisms and fiber shifts."""
-    _require_isometry(lift.base, automorphisms)
+    require_isometry(lift.base, automorphisms)
     points = lift.sample_points(samples)
-    shifts = list(fiber_shifts) or [np.zeros(lift.base.dim)]
-    residual = Residual()
-    for k, T in enumerate(automorphisms):
-        lifted = lift_automorphism(T, T.A, shifts[k % len(shifts)])
-        for p in points:
-            defect, scale = pullback_defect(lifted, lift.metric, p)
-            conj = np.linalg.solve(lifted.A, lift.J @ lifted.A) - lift.J
-            residual.add(defect / max(1.0, scale), np.max(np.abs(conj)))
+    residual = invariance_defect(
+        lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
+        points,
+        (lift.metric,),
+        (TensorField.constant(lift.J),),
+        floor=1.0,
+    )
     return CheckResult(
         check_id="psi_invariance",
         claim="(g_r, J) is invariant under lifted isometries with fiber shifts",
-        residual=residual.value,
-        tolerance=tolerance,
+        residual=residual,
+        tolerance=1e-8,
         samples=len(points) * max(1, len(automorphisms)),
     )
 
@@ -264,16 +205,21 @@ def projected_metric_field(g: TensorField):
     return TensorField(2 * n, func, dfunc if g.dfunc is not None else None)
 
 
-def check_lemma_xi_items(cl: ConformalKahlerLift, samples=None, tolerance=1e-8, fd=False):
-    """L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0."""
-    pg = projected_metric_field(cl.base.metric)
-    points = cl.lift.sample_points(samples)
-    J = cl.lift.J
-    A_total = cl.fields.total.A
+def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None, fd=False):
+    """L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0 for the
+    horizontal part xi1 = (A x + b, 0) and the vertical part xi2 = (0, A y + b)."""
+    n = ss.dim
+    lift = build_kahler_lift(ss.base)
+    pg = projected_metric_field(ss.metric)
+    points = lift.sample_points(samples)
+    J = lift.J
+    xi1 = lift_field(ss.xi, np.zeros((n, n)), np.zeros(n))
+    xi2 = lift_field(VectorFieldSpec.from_affine(np.zeros((n, n))), ss.xi.A, ss.xi.b)
+    A_total = lift_field(ss.xi, ss.xi.A, ss.xi.b).A
     residual = Residual()
     for p in points:
-        L1 = lie_derivative_metric(pg, cl.fields.xi1, p, fd=fd)
-        L2 = lie_derivative_metric(pg, cl.fields.xi2, p, fd=fd)
+        L1 = lie_derivative_metric(pg, xi1, p, fd=fd)
+        L2 = lie_derivative_metric(pg, xi2, p, fd=fd)
         residual.add_max_abs(L1 - 2.0 * pg(p), L2)
     # constant J: L_{xi1+xi2} J = [J, A1 + A2]
     residual.add_max_abs(J @ A_total - A_total @ J)
@@ -281,40 +227,38 @@ def check_lemma_xi_items(cl: ConformalKahlerLift, samples=None, tolerance=1e-8, 
         check_id="lifted_field_lemma",
         claim="L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0",
         residual=residual.value,
-        tolerance=tolerance,
+        tolerance=1e-8,
         samples=len(points),
     )
 
 
 def check_conformal_invariance(
-    cl: ConformalKahlerLift,
+    ss: SelfsimilarHessianStructure,
     samples=None,
-    tolerance=1e-6,
     automorphisms=(),
     fiber_shifts=(),
-    invariance_tolerance=1e-8,
     fd=False,
 ):
     """Conformal flow suite: homothety of the norm function, L w_cK = 0,
     psi-invariance of w_cK, and the unscaled negative control L w = 2 w."""
-    n = cl.base.dim
-    points = cl.lift.sample_points(samples)
+    lift = build_kahler_lift(ss.base)
+    points = lift.sample_points(samples)
     res_norm, res_wck, res_control = conformal_flow_residuals(
-        cl.base, cl.fields.total, cl.lift.omega, points, fd=fd
+        ss, lift_field(ss.xi, ss.xi.A, ss.xi.b), lift.omega, points, fd=fd
     )
     entries = [
         CheckResult(
             check_id="conformal_norm_homothety",
             claim="L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
             residual=res_norm,
-            tolerance=tolerance,
+            tolerance=1e-6,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_ck_flow",
             claim="L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
             residual=res_wck,
-            tolerance=tolerance,
+            tolerance=1e-6,
             samples=len(points),
         ),
         CheckResult(
@@ -326,21 +270,19 @@ def check_conformal_invariance(
         ),
     ]
     if automorphisms:
-        _require_isometry(cl.base.base, automorphisms)
-        shifts = list(fiber_shifts) or [np.zeros(n)]
-        omega_ck = cl.omega_ck()
-        res_inv = Residual()
-        for k, T in enumerate(automorphisms):
-            lifted = lift_automorphism(T, T.A, shifts[k % len(shifts)])
-            for p in points:
-                defect, scale = pullback_defect(lifted, omega_ck, p)
-                res_inv.add(defect / max(1.0, scale))
+        require_isometry(ss.base, automorphisms)
+        res_inv = invariance_defect(
+            lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
+            points,
+            (conformal_rescaling(ss, lift.omega),),
+            floor=1.0,
+        )
         entries.append(
             CheckResult(
                 check_id="conformal_psi_invariance",
                 claim="omega_cK is invariant under lifted unimodular isometries",
-                residual=res_inv.value,
-                tolerance=invariance_tolerance,
+                residual=res_inv,
+                tolerance=1e-8,
                 samples=len(points) * len(automorphisms),
             )
         )

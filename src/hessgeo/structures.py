@@ -132,7 +132,8 @@ class HessianStructure:
 
 @dataclass(frozen=True)
 class SelfsimilarHessianStructure:
-    """Hessian structure plus an affine field xi with L_xi g = 2 g."""
+    """A Hessian (or special Kahler) base plus an affine field xi with
+    L_xi g = 2 g; `validate` serves Hessian bases."""
 
     base: HessianStructure
     xi: VectorFieldSpec
@@ -162,13 +163,7 @@ class SelfsimilarHessianStructure:
         return self
 
 
-def check_selfsimilar(
-    structure: HessianStructure,
-    xi: VectorFieldSpec,
-    samples=None,
-    tolerance=1e-8,
-    fd=False,
-):
+def check_selfsimilar(structure: HessianStructure, xi: VectorFieldSpec, samples=None, fd=False):
     """Max over samples of ||L_xi g - 2 g||_inf."""
     points = structure.sample_points(samples)
     residual = Residual()
@@ -179,16 +174,16 @@ def check_selfsimilar(
         check_id="selfsimilar_metric",
         claim="L_xi g = 2 g for the affine homothetic field xi",
         residual=residual.value,
-        tolerance=tolerance,
+        tolerance=1e-8,
         samples=len(points),
     )
 
 
 # -- the conformal rescaling, shared by TM and T*M ----------------------------
 #
-# `s` is any object with a `metric` field and an affine homothetic field `xi`
-# on the base; a field T on the bundle takes points (x, y) whose first half x
-# is the base point.
+# `s` is a `SelfsimilarHessianStructure`, over a Hessian or a special Kahler
+# base; a field T on the bundle takes points (x, y) whose first half x is the
+# base point.
 
 
 def norm_squared(s, p, check=True):
@@ -309,18 +304,3 @@ def field_from_config(config, structure: HessianStructure) -> Optional[VectorFie
         if np.max(np.abs(values - xi.value(p))) > 1e-12:
             raise ConfigError(f"field disagrees with field_affine at {p}")
     return xi
-
-
-def structure_to_config(structure: HessianStructure, xi=None):
-    config = {
-        "name": structure.name,
-        "dim": structure.dim,
-        "potential": structure.potential.serialize(),
-        "domain": [ineq.serialize() for ineq in structure.domain.inequalities],
-        "box": structure.domain.box.tolist(),
-        "seed": structure.seed,
-        "samples": structure.samples,
-    }
-    if xi is not None:
-        config["field_affine"] = {"A": xi.A.tolist(), "b": xi.b.tolist()}
-    return config

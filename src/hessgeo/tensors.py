@@ -7,7 +7,7 @@ fall back to Richardson-extrapolated central finite differences with step
 `FD_STEP * max(1, |p|)`.  A field whose value and derivative come from the
 same per-point work reads both from one `point_bundle`.
 Checks collect their residuals in a `Residual`, and measure invariance under
-affine maps with `pullback_defect`.
+affine maps with `invariance_defect`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NotAnIsometry
 from .expressions import ScalarExpression
 
 __all__ = [
@@ -33,7 +33,8 @@ __all__ = [
     "Residual",
     "standard_symplectic",
     "bundle_sample_points",
-    "lift_automorphism",
+    "lift_automorphisms",
+    "lift_field",
     "lie_derivative_metric",
     "lie_derivative_endomorphism",
     "exterior_derivative_2form",
@@ -41,6 +42,8 @@ __all__ = [
     "nijenhuis",
     "pullback_metric",
     "pullback_defect",
+    "invariance_defect",
+    "require_isometry",
     "is_positive_definite",
     "fd_gradient",
     "fd_tensor_derivative",
@@ -215,13 +218,30 @@ def bundle_sample_points(base, count, salt, fiber_salt):
     return np.hstack([xs, ys])
 
 
-def lift_automorphism(T: AffineAutomorphism, fiber_linear, shift):
-    """Psi(x, y) = (A x + b, fiber_linear y + shift) on a bundle with flat fibers."""
-    n = T.A.shape[0]
-    P = np.zeros((2 * n, 2 * n))
-    P[:n, :n] = T.A
-    P[n:, n:] = fiber_linear
-    return AffineAutomorphism(P, np.concatenate([T.b, np.asarray(shift, dtype=float)]), T.tag)
+def lift_automorphisms(autos, fiber_linear, shifts=()):
+    """Psi(x, y) = (A x + b, fiber_linear(A) y + s) for each automorphism, on
+    a bundle with flat fibers; the shifts s are taken cyclically, zero when
+    there are none."""
+    lifted = []
+    for k, T in enumerate(autos):
+        n = T.A.shape[0]
+        P = np.zeros((2 * n, 2 * n))
+        P[:n, :n] = T.A
+        P[n:, n:] = fiber_linear(T.A)
+        shift = shifts[k % len(shifts)] if len(shifts) else np.zeros(n)
+        b = np.concatenate([T.b, np.asarray(shift, dtype=float)])
+        lifted.append(AffineAutomorphism(P, b, T.tag))
+    return lifted
+
+
+def lift_field(xi: VectorFieldSpec, fiber_linear, fiber_shift):
+    """The field (A x + b, F y + c) on a bundle with flat fibers, for the
+    base field xi = A x + b and the fiber part F y + c."""
+    n = xi.A.shape[0]
+    X = np.zeros((2 * n, 2 * n))
+    X[:n, :n] = xi.A
+    X[n:, n:] = fiber_linear
+    return VectorFieldSpec(X, np.concatenate([xi.b, np.asarray(fiber_shift, dtype=float)]))
 
 
 def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p, fd=False):
@@ -288,6 +308,35 @@ def pullback_defect(T: AffineAutomorphism, g: TensorField, p, factor=1.0):
         np.max(np.abs(pullback_metric(T, g, p) - expected)),
         np.max(np.abs(expected)),
     )
+
+
+def invariance_defect(maps, points, covariant=(), endomorphisms=(), factor=1.0, floor=0.0):
+    """Max over maps T and points p of |T^* S - factor S| / max(floor, |factor S|)
+    for each covariant 2-tensor field S, and of |A^{-1} K(Tp) A - K(p)| for
+    each endomorphism field K."""
+    residual = Residual()
+    for T in maps:
+        for p in points:
+            image = T(p)
+            for S in covariant:
+                defect, scale = pullback_defect(T, S, p, factor)
+                residual.add(defect / max(floor, scale))
+            for K in endomorphisms:
+                residual.add_max_abs(np.linalg.solve(T.A, K(image) @ T.A) - K(p))
+    return residual.value
+
+
+def require_isometry(base, autos, endomorphisms=()):
+    """Raises `NotAnIsometry` unless each map preserves the base metric and
+    the given endomorphism fields, at 10 base samples (salt 3)."""
+    points = base.sample_points(10, salt=3)
+    for T in autos:
+        defect = invariance_defect([T], points, (base.metric,), endomorphisms, floor=1.0)
+        if not defect <= 1e-8:
+            raise NotAnIsometry(
+                f"linear part {T.A.tolist()} does not preserve the base structure "
+                f"(defect {defect:.2e})"
+            )
 
 
 class Residual:

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
-Every criterion is evaluated at its stated tolerance; the printed line shows
-the worst residual actually observed.
+Every criterion is evaluated at its stated tolerance, which each test asserts
+is the tolerance of the entry; the printed line shows the worst residual
+actually observed.
 """
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from hessgeo.cli import NONCONE_POINT, noncone_structure, run_check
 from hessgeo.cmap import (
-    ConformalHyperKahler,
     check_conformal_hyperkahler,
     check_hyperkahler,
     check_special_kahler_axioms,
@@ -17,14 +17,13 @@ from hessgeo.cmap import (
 )
 from hessgeo.cones import automorphism_samples, dilation_law, preset, radiant_law
 from hessgeo.rmap import (
-    build_conformal_lift,
     build_kahler_lift,
     check_conformal_invariance,
     check_kahler,
     check_lemma_xi_items,
     check_potential_identity,
 )
-from hessgeo.structures import check_selfsimilar
+from hessgeo.structures import SelfsimilarHessianStructure, check_selfsimilar
 from hessgeo.tensors import (
     exterior_derivative_2form,
     fd_tensor_derivative,
@@ -33,6 +32,12 @@ from hessgeo.tensors import (
 
 CONES = ("orthant2", "orthant3", "lorentz3", "spd2")
 SAMPLES = 100
+
+
+def stated(entry, tolerance):
+    """The entry, after asserting that it is judged at `tolerance`."""
+    assert entry.tolerance == tolerance, (entry.check_id, entry.tolerance)
+    return entry
 
 
 def verdict(capsys, number, label, entries):
@@ -54,7 +59,7 @@ def test_criterion_1_rmap_equivalence(capsys):
             lift = build_kahler_lift(
                 cone.hessian_structure(which, samples=SAMPLES)
             )
-            entry = check_kahler(lift, SAMPLES, tolerance=1e-5)
+            entry = stated(check_kahler(lift, SAMPLES), 1e-5)
             entry.check_id = f"{name}_{which}_{entry.check_id}"
             entries.append(entry)
     # counterexample: at x1 = 0.5 the closedness defect equals 1 exactly
@@ -83,7 +88,7 @@ def test_criterion_2_potential_identity(capsys):
             lift = build_kahler_lift(
                 cone.hessian_structure(which, samples=SAMPLES)
             )
-            entry = check_potential_identity(lift, SAMPLES, tolerance=1e-8)
+            entry = stated(check_potential_identity(lift, SAMPLES), 1e-8)
             entry.check_id = f"{name}_{which}_{entry.check_id}"
             entries.append(entry)
     verdict(capsys, 2, "lifted metric equals the complex Hessian of the potential", entries)
@@ -150,14 +155,15 @@ def test_criterion_4_selfsimilar_suite(capsys):
     for name in CONES:
         cone = preset(name)
         ss = cone.selfsimilar
-        entry = check_selfsimilar(ss.base, ss.xi, SAMPLES, tolerance=1e-8)
+        entry = stated(check_selfsimilar(ss.base, ss.xi, SAMPLES), 1e-8)
         entry.check_id = f"{name}_{entry.check_id}"
         entries.append(entry)
-        cl = build_conformal_lift(ss)
-        entry = check_lemma_xi_items(cl, 50, tolerance=1e-8)
+        entry = stated(check_lemma_xi_items(ss, 50), 1e-8)
         entry.check_id = f"{name}_{entry.check_id}"
         entries.append(entry)
-        for entry in check_conformal_invariance(cl, 50, tolerance=1e-6):
+        for entry in check_conformal_invariance(ss, 50):
+            control = entry.check_id == "conformal_omega_negative_control"
+            stated(entry, 1e-4 if control else 1e-6)
             entry.check_id = f"{name}_{entry.check_id}"
             entries.append(entry)
     verdict(capsys, 4, "selfsimilar structures and the conformal Kahler flow", entries)
@@ -167,16 +173,18 @@ def test_criterion_5_cmap_suite(capsys):
     entries = []
     for name in ("sk_flat", "sk_cubic", "sk_conic"):
         sk = special_kahler_preset(name, samples=SAMPLES)
-        for entry in check_special_kahler_axioms(sk, 50, tolerance=1e-6):
+        for entry in check_special_kahler_axioms(sk, 50):
+            stated(entry, 1e-6)
             entry.check_id = f"{name}_{entry.check_id}"
             entries.append(entry)
-        for entry in check_hyperkahler(
-            sk,
-            50,
-            quaternion_tolerance=1e-8,
-            closedness_tolerance=1e-5,
-            shift_tolerance=1e-12,
-        ):
+        hk_tolerances = {
+            "hk_quaternion": 1e-8,
+            "hk_hermitian": 1e-8,
+            "hk_closed_forms": 1e-5,
+            "hk_fiber_shift": 1e-12,
+        }
+        for entry in check_hyperkahler(sk, 50):
+            stated(entry, hk_tolerances[entry.check_id])
             entry.check_id = f"{name}_{entry.check_id}"
             entries.append(entry)
     verdict(capsys, 5, "special Kahler axioms and the hyper-Kahler frame", entries)
@@ -188,8 +196,9 @@ def test_criterion_6_conformal_hyperkahler(capsys):
     entries = []
     for name in ("sk_flat", "sk_conic"):
         sk = special_kahler_preset(name, samples=25)
-        chk = ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
-        for entry in check_conformal_hyperkahler(chk, 25, tolerance=1e-5):
+        ss = SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+        for entry in check_conformal_hyperkahler(ss, 25):
+            stated(entry, 1e-5)
             entry.check_id = f"{name}_{entry.check_id}"
             entries.append(entry)
     verdict(capsys, 6, "conformal hyper-Kahler flow with the Euler field", entries)

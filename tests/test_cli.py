@@ -346,6 +346,29 @@ def test_eval_at_the_pole_of_the_rescaled_metric_rejected(capsys):
     assert "g(xi, xi) = 0.0" in capsys.readouterr().err
 
 
+def test_eval_rescaled_metric_needs_a_homothetic_field(capsys):
+    # sk_cubic has no homothetic field, so g_chK has no meaning there
+    assert main(["eval", "sk_cubic", "g_chk", "--at=0.1,-0.495"]) == 2
+    assert "tensor 'g_chk' is not available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "F, box",
+    [("i*z1^2/2", [[-1.0, 1.0], [-1.0, 1.0]]), ("z1^3/6", [[-1.0, 1.0], [0.5, 1.5]])],
+    ids=["flat", "cubic"],
+)
+def test_config_name_does_not_choose_suites(tmp_path, capsys, F, box):
+    # the suites and isometries of a config follow its content, never its
+    # free-text name, even when that name is a preset's
+    outcomes = []
+    for name in ("sk_flat", "sk_cubic", "other"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "m": 1, "F": F, "box": box}))
+        code = main(["check", str(path), "--samples", "5", "--json"])
+        outcomes.append((code, json.loads(capsys.readouterr().out)["entries"]))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 def _count_validations(monkeypatch):
     counts = {"hessian": 0, "selfsimilar": 0}
     for key, cls in (

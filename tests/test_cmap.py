@@ -3,7 +3,6 @@ import pytest
 
 from hessgeo import cmap
 from hessgeo.cmap import (
-    ConformalHyperKahler,
     Prepotential,
     FIBER_SALT,
     _frame_fields,
@@ -24,14 +23,14 @@ from hessgeo.errors import (
     UnknownPreset,
 )
 from hessgeo.expressions import parse_expression
-from hessgeo.structures import norm_gradient
+from hessgeo.structures import SelfsimilarHessianStructure, conformal_rescaling, norm_gradient
 from hessgeo.tensors import (
     AffineAutomorphism,
     TensorField,
     VectorFieldSpec,
     bundle_sample_points,
     fd_tensor_derivative,
-    lift_automorphism,
+    lift_automorphisms,
 )
 
 
@@ -151,9 +150,16 @@ def test_psi_hat_rejects_non_isometry():
         )
 
 
+def test_psi_hat_rejects_an_isometry_that_reverses_I():
+    # diag(1, -1) preserves the flat metric but maps I to -I
+    sk = special_kahler_preset("sk_flat", samples=5)
+    with pytest.raises(NotAnIsometry):
+        check_invariance_psi_hat(sk, [AffineAutomorphism.linear(np.diag([1.0, -1.0]))], samples=5)
+
+
 def test_fiber_shift_lift():
     T = AffineAutomorphism.linear(np.array([[2.0, 1.0], [0.0, 0.5]]))
-    lifted = lift_automorphism(T, np.linalg.inv(T.A).T, np.array([0.3, -0.3]))
+    (lifted,) = lift_automorphisms([T], lambda A: np.linalg.inv(A).T, [np.array([0.3, -0.3])])
     # the cotangent lift's fiber block B^{-T} preserves the pairing <p, v>
     p, v = np.array([0.7, -1.2]), np.array([0.4, 2.5])
     assert (lifted.A[2:, 2:] @ p) @ (T.A @ v) == pytest.approx(p @ v)
@@ -163,8 +169,8 @@ def test_fiber_shift_lift():
 @pytest.mark.parametrize("name", ["sk_flat", "sk_conic"])
 def test_conformal_hyperkahler(name):
     sk = special_kahler_preset(name, samples=8)
-    chk = ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
-    for entry in check_conformal_hyperkahler(chk, samples=8):
+    ss = SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+    for entry in check_conformal_hyperkahler(ss, samples=8):
         assert entry.passed, (entry.check_id, entry.residual)
 
 
@@ -172,7 +178,7 @@ def test_translation_part_rejected():
     sk = special_kahler_preset("sk_flat", samples=5)
     xi = VectorFieldSpec.from_affine(np.eye(2), np.array([1.0, 0.0]))
     with pytest.raises(TranslationUnsupported):
-        ConformalHyperKahler(sk, xi)
+        check_conformal_hyperkahler(SelfsimilarHessianStructure(sk, xi), samples=5)
 
 
 def test_sk_conic_needs_rotated_branch():
@@ -198,9 +204,9 @@ def test_bad_prepotential_config():
 @pytest.mark.parametrize("name", ["sk_cubic", "sk_conic"])
 def test_exact_frame_derivatives_match_fd(name):
     sk = special_kahler_preset(name, samples=4)
-    chk = ConformalHyperKahler(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
+    ss = SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
     gc, (I1, I2, I3) = _frame_fields(sk)
-    fields = {"gc": gc, "I1": I1, "I2": I2, "I3": I3, "g_chk": chk.rescaled_metric()}
+    fields = {"gc": gc, "I1": I1, "I2": I2, "I3": I3, "g_chk": conformal_rescaling(ss, gc)}
 
     def assert_close(exact, fd, label):
         scale = max(1.0, float(np.max(np.abs(exact))))
@@ -210,7 +216,7 @@ def test_exact_frame_derivatives_match_fd(name):
         for label, field in fields.items():
             assert_close(field.derivative(pt), fd_tensor_derivative(field, pt), label)
         q = pt[: sk.dim]
-        assert_close(norm_gradient(chk, q), norm_gradient(chk, q, fd=True), "dN")
+        assert_close(norm_gradient(ss, q), norm_gradient(ss, q, fd=True), "dN")
 
 
 def test_one_newton_inversion_per_darboux_point(monkeypatch):

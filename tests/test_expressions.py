@@ -7,7 +7,7 @@ from hessgeo.errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from hessgeo.expressions import eval_complex, parse_expression
+from hessgeo.expressions import parse_expression
 from hessgeo.tensors import fd_gradient, fd_tensor_derivative
 
 
@@ -73,7 +73,7 @@ def test_domain_errors():
 
 def test_complex_mode_imaginary_unit():
     e = parse_expression("i*z1^2/2", ["z1"], mode="complex")
-    jet = eval_complex(e, np.array([2.0 + 0.0j]))
+    jet = e.jet3(np.array([2.0 + 0.0j]))
     assert jet.value == pytest.approx(2j)
     assert jet.hessian[0, 0] == pytest.approx(1j)
 

@@ -16,7 +16,6 @@ from hessgeo.structures import (
     make_hessian_structure,
     norm_gradient,
     norm_squared,
-    structure_to_config,
 )
 from hessgeo.tensors import VectorFieldSpec
 
@@ -105,21 +104,6 @@ def test_check_selfsimilar_residual():
     assert entry.check_id == "selfsimilar_metric"
     assert entry.passed
     assert entry.residual < 1e-10
-
-
-def test_config_round_trip():
-    config = {
-        "name": "orthant_conical",
-        "dim": 2,
-        "potential": "1/(x1*x2)",
-        "domain": ["x1", "x2"],
-        "box": [[0.5, 2.0], [0.5, 2.0]],
-        "samples": 15,
-    }
-    s = make_hessian_structure(config)
-    again = make_hessian_structure(structure_to_config(s))
-    p = np.array([1.3, 0.8])
-    assert again.metric(p) == pytest.approx(s.metric(p))
 
 
 def test_bad_configs():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from flows import affine_flow
 
+from hessgeo.cmap import special_kahler_preset
+from hessgeo.cones import preset
 from hessgeo.expressions import ScalarExpression, parse_expression
 from hessgeo.report import CheckResult
 from hessgeo.tensors import (
@@ -10,6 +12,7 @@ from hessgeo.tensors import (
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
+    invariance_defect,
     is_positive_definite,
     lie_derivative_endomorphism,
     lie_derivative_metric,
@@ -156,6 +159,30 @@ def test_pullback_metric():
     defect, scale = pullback_defect(T, g, p, factor=2.0)
     assert defect == np.max(np.abs(expected - 2.0 * g(p)))
     assert scale == np.max(np.abs(2.0 * g(p)))
+
+
+@pytest.mark.parametrize("name", ["orthant2", "lorentz3"])
+def test_invariance_defect_of_a_dilation(name):
+    # g_con is homogeneous of degree -n - 2, so under x -> 2x the relative
+    # defect is |2^(-n) g - g| / |g| = 1 - 2^(-n) at every point
+    con = preset(name).con
+    T = AffineAutomorphism.linear(2.0 * np.eye(con.dim))
+    defect = invariance_defect([T], con.sample_points(5), (con.metric,))
+    assert defect == pytest.approx(1.0 - 2.0 ** (-con.dim), abs=1e-12)
+    # and with the factor 2^(-n) the dilation preserves it
+    scaled = invariance_defect([T], con.sample_points(5), (con.metric,), factor=2.0 ** (-con.dim))
+    assert scaled < 1e-12
+
+
+def test_invariance_defect_of_a_reflection_on_I():
+    # diag(1, -1) preserves the flat metric of sk_flat but maps I to -I
+    sk = special_kahler_preset("sk_flat", samples=5)
+    T = AffineAutomorphism.linear(np.diag([1.0, -1.0]))
+    points = sk.sample_points(5)
+    assert invariance_defect([T], points, (sk.metric,), floor=1.0) < 1e-12
+    assert invariance_defect([T], points, endomorphisms=(sk.complex_structure,)) == pytest.approx(
+        2.0, abs=1e-12
+    )
 
 
 def test_singular_automorphism_rejected():
