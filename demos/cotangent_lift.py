@@ -33,7 +33,7 @@ def main():
     print(f"Darboux chart round trip |z - z(q(z))| = {np.max(np.abs(back - z)):.2e}")
 
     print("metric at the center point:")
-    print(np.array_str(sk.g(q), precision=4))
+    print(np.array_str(sk.metric(q), precision=4))
     print(f"omega = lambda * Omega with lambda = {sk.omega_constant()[sk.m, 0]:.4f}")
 
     frame = build_hyperkahler(sk, q)

@@ -36,6 +36,7 @@ from .tensors import (
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
+    finite_differences,
     invariance_defect,
     is_positive_definite,
     symmetry_defect,
@@ -74,31 +75,59 @@ def noncone_structure(seed=42, samples=100) -> HessianStructure:
 
 def resolve_geometry(name, seed, samples):
     """Returns (kind, object); the kind, a key of KINDS, fixes the suites
-    and tensors the geometry offers."""
+    and tensors the geometry offers.  The seed, the sample count and those a
+    config states itself are checked here, where they enter."""
+    _require_count("--seed", seed, 0)
+    _require_count("--samples", samples, 1)
     if name in cones_mod.PRESET_NAMES:
         return "cone", cones_mod.preset(name, seed)
     if name in cmap_mod.SK_PRESET_NAMES:
-        # the cubic prepotential is not homogeneous of degree 2, so sk_cubic
-        # has no linear homothetic field and no conformal suite
-        sk = cmap_mod.special_kahler_preset(name, seed=seed, samples=samples)
-        return ("sk" if name == "sk_cubic" else "sk_homothetic"), sk
+        return _special_kahler(cmap_mod.special_kahler_preset(name, seed=seed, samples=samples))
     if name == "noncone_counterexample":
         return "noncone", noncone_structure(seed=seed, samples=samples)
     if name.endswith(".json"):
-        with open(name) as handle:
-            config = json.load(handle)
-        config.setdefault("seed", seed)
-        config.setdefault("samples", samples)
+        config = _read_config(name)
+        _require_count("the config's seed", config.setdefault("seed", seed), 0)
+        _require_count("the config's samples", config.setdefault("samples", samples), 1)
         if "F" in config:
-            return "sk_homothetic", cmap_mod.prepotential_from_config(config)
+            return _special_kahler(cmap_mod.prepotential_from_config(config))
         if "I" in config:
-            return "sk_homothetic", cmap_mod.special_kahler_from_config(config)
+            return _special_kahler(cmap_mod.special_kahler_from_config(config))
         structure = make_hessian_structure(config)
         xi = field_from_config(config, structure)
         if xi is None:
             return "hessian", structure
         return "selfsimilar", SelfsimilarHessianStructure(structure, xi).validate()
     raise UnknownPreset(name)
+
+
+def _read_config(path):
+    with open(path) as handle:
+        try:
+            config = json.load(handle)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not a {type(config).__name__}")
+    return config
+
+
+def _require_count(what, value, least):
+    """Raises ConfigError unless `value` is an integer of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value}")
+
+
+def _special_kahler(sk):
+    """(kind, sk): "sk_homothetic" when the Euler field xi(q) = q validates as
+    homothetic, as for a prepotential homogeneous of degree 2; else "sk"."""
+    try:
+        _euler_selfsimilar(sk).validate()
+    except ConfigError:
+        return "sk", sk
+    return "sk_homothetic", sk
 
 
 # -- generic suites --------------------------------------------------------
@@ -133,19 +162,18 @@ def rmap_suite(
     samples=None,
     automorphisms=(),
     fiber_shifts=(),
-    fd=False,
     noncone_point=None,
 ) -> List[CheckResult]:
     lift = rmap_mod.build_kahler_lift(structure)
-    entries = [rmap_mod.check_kahler(lift, samples, fd=fd)]
+    entries = [rmap_mod.check_kahler(lift, samples)]
     if structure.potential is not None:
-        entries.append(rmap_mod.check_potential_identity(lift, samples, fd=fd))
+        entries.append(rmap_mod.check_potential_identity(lift, samples))
     if automorphisms:
         entries.append(
             rmap_mod.check_invariance_psi(lift, automorphisms, fiber_shifts, samples)
         )
     if noncone_point is not None:
-        dw = exterior_derivative_2form(lift.omega, noncone_point, fd=fd)
+        dw = exterior_derivative_2form(lift.omega, noncone_point)
         entries.append(
             CheckResult(
                 "noncone_exterior_value",
@@ -170,15 +198,12 @@ def _assumed_hypotheses():
     )
 
 
-def selfsimilar_suite(
-    structure: SelfsimilarHessianStructure, samples=None, fd=False
-) -> List[CheckResult]:
-    entries = [
-        check_selfsimilar(structure.base, structure.xi, samples, fd=fd)
+def selfsimilar_suite(structure: SelfsimilarHessianStructure, samples=None) -> List[CheckResult]:
+    return [
+        check_selfsimilar(structure.base, structure.xi, samples),
+        rmap_mod.check_lemma_xi_items(structure, samples),
+        _assumed_hypotheses(),
     ]
-    entries.append(rmap_mod.check_lemma_xi_items(structure, samples, fd=fd))
-    entries.append(_assumed_hypotheses())
-    return entries
 
 
 def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
@@ -227,14 +252,12 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     return entries
 
 
-def cone_conformal_suite(
-    cone: cones_mod.ConePreset, samples=None, fd=False
-) -> List[CheckResult]:
+def cone_conformal_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     unim = cones_mod.automorphism_samples(cone, 5, unimodular=True)
     rng = np.random.default_rng([cone.seed, 23])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in unim]
     entries = rmap_mod.check_conformal_invariance(
-        cone.selfsimilar, samples or 50, automorphisms=unim, fiber_shifts=shifts, fd=fd
+        cone.selfsimilar, samples or 50, automorphisms=unim, fiber_shifts=shifts
     )
     # orbit reachability from the sampled generators only: informational,
     # transitivity itself is not decidable from samples
@@ -263,9 +286,9 @@ def cone_conformal_suite(
     return entries
 
 
-def cmap_suite(sk, samples=None, fd=False) -> List[CheckResult]:
-    entries = list(cmap_mod.check_special_kahler_axioms(sk, samples, fd=fd))
-    entries.extend(cmap_mod.check_hyperkahler(sk, samples, fd=fd))
+def cmap_suite(sk, samples=None) -> List[CheckResult]:
+    entries = cmap_mod.check_special_kahler_axioms(sk, samples)
+    entries.extend(cmap_mod.check_hyperkahler(sk, samples))
     autos, shifts = _sk_automorphisms(sk)
     entries.append(cmap_mod.check_invariance_psi_hat(sk, autos, shifts, samples))
     return entries
@@ -277,7 +300,7 @@ def _sk_automorphisms(sk):
     rng = np.random.default_rng([sk.seed, 29])
     shifts = [rng.uniform(-1.0, 1.0, sk.dim) for _ in range(3)]
     if sk.rotations:
-        I = sk.I(sk.sample_points(1, salt=9)[0])
+        I = sk.complex_structure(sk.sample_points(1, salt=9)[0])
         autos = [
             cmap_mod.AffineAutomorphism.linear(
                 np.cos(t) * np.eye(sk.dim) + np.sin(t) * I
@@ -296,8 +319,8 @@ def _euler_selfsimilar(sk):
     return SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(np.eye(sk.dim)))
 
 
-def sk_conformal_suite(sk, samples=None, fd=False) -> List[CheckResult]:
-    entries = cmap_mod.check_conformal_hyperkahler(_euler_selfsimilar(sk), samples, fd=fd)
+def sk_conformal_suite(sk, samples=None) -> List[CheckResult]:
+    entries = cmap_mod.check_conformal_hyperkahler(_euler_selfsimilar(sk), samples)
     entries.append(_assumed_hypotheses())
     return entries
 
@@ -310,8 +333,8 @@ class Kind:
     """What one kind of geometry offers.
 
     `suites` maps each applicable suite, in run order, to a runner
-    (obj, samples, fd) -> entries; the runners of `fd_suites` honour
-    `fd`, so `--fd-check` reruns them.  `tensors` maps each `eval` tensor to
+    (obj, samples) -> entries; `--fd-check` reruns those of `fd_suites`
+    inside `finite_differences()`.  `tensors` maps each `eval` tensor to
     (obj, point) -> matrix, where the tensors of `base_tensors` take a
     base point and the others a point (x, y) of the bundle.  `inside` tells
     whether a base point lies in the geometry's domain.
@@ -324,11 +347,11 @@ class Kind:
     inside: Callable
 
 
-def _cone_rmap(cone, samples, fd):
+def _cone_rmap(cone, samples):
     autos = cones_mod.automorphism_samples(cone, 5)
     rng = np.random.default_rng([cone.seed, 11])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in autos]
-    return rmap_suite(cone.can, samples, autos, shifts, fd=fd)
+    return rmap_suite(cone.can, samples, autos, shifts)
 
 
 def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)):
@@ -340,8 +363,8 @@ def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, 
 
     return Kind(
         suites={
-            "hessian": lambda obj, samples, fd: hessian_suite(structure_of(obj), samples),
-            "rmap": lambda obj, samples, fd: rmap_suite(structure_of(obj), samples, fd=fd),
+            "hessian": lambda obj, samples: hessian_suite(structure_of(obj), samples),
+            "rmap": lambda obj, samples: rmap_suite(structure_of(obj), samples),
             **(suites or {}),
         },
         fd_suites=fd_suites,
@@ -368,15 +391,15 @@ def _sk_kind(suites, tensors=None):
         suites={"cmap": cmap_suite, **suites},
         fd_suites=("cmap", *suites),
         tensors={
-            "g": lambda sk, q: sk.g(q),
-            "I": lambda sk, q: sk.I(q),
+            "g": lambda sk, q: sk.metric(q),
+            "I": lambda sk, q: sk.complex_structure(q),
             "omega": lambda sk, q: sk.omega(q),
             **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
             **(tensors or {}),
         },
         base_tensors=("g", "I", "omega"),
         # a special Kahler structure lives where its metric (Im F'') is positive definite
-        inside=lambda sk, q: is_positive_definite(sk.g(q)),
+        inside=lambda sk, q: is_positive_definite(sk.metric(q)),
     )
 
 
@@ -385,10 +408,8 @@ KINDS = {
         lambda cone: cone.can,
         suites={
             "rmap": _cone_rmap,
-            "selfsimilar": lambda cone, samples, fd: selfsimilar_suite(
-                cone.selfsimilar, samples, fd=fd
-            ),
-            "cone": lambda cone, samples, fd: cone_suite(cone, samples),
+            "selfsimilar": lambda cone, samples: selfsimilar_suite(cone.selfsimilar, samples),
+            "cone": cone_suite,
             "conformal": cone_conformal_suite,
         },
         fd_suites=("rmap", "selfsimilar", "conformal"),
@@ -404,8 +425,8 @@ KINDS = {
     "noncone": _hessian_kind(
         lambda structure: structure,
         suites={
-            "rmap": lambda structure, samples, fd: rmap_suite(
-                structure, samples, fd=fd, noncone_point=NONCONE_POINT
+            "rmap": lambda structure, samples: rmap_suite(
+                structure, samples, noncone_point=NONCONE_POINT
             ),
         },
     ),
@@ -414,9 +435,7 @@ KINDS = {
         lambda ss: ss.base,
         suites={
             "selfsimilar": selfsimilar_suite,
-            "conformal": lambda ss, samples, fd: rmap_mod.check_conformal_invariance(
-                ss, samples, fd=fd
-            ),
+            "conformal": rmap_mod.check_conformal_invariance,
         },
         fd_suites=("rmap", "selfsimilar", "conformal"),
     ),
@@ -434,17 +453,15 @@ def applicable_suites(kind):
     return tuple(KINDS[kind].suites)
 
 
-def run_suite(kind, obj, suite, samples, fd=False):
+def run_suite(kind, obj, suite, samples):
     runner = KINDS[kind].suites.get(suite)
     if runner is None:
         raise ConfigError(f"suite {suite!r} does not apply to this geometry")
-    return runner(obj, samples, fd)
+    return runner(obj, samples)
 
 
 def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
-    if samples is not None and samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {samples}")
-    kind, obj = resolve_geometry(name, seed, samples or 100)
+    kind, obj = resolve_geometry(name, seed, 100 if samples is None else samples)
     available = applicable_suites(kind)
     if "all" in suites:
         selected = available
@@ -458,7 +475,8 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         entries = run_suite(kind, obj, suite, samples)
         report.extend(entries)
         if fd_check and suite in KINDS[kind].fd_suites:
-            fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples, fd=True)}
+            with finite_differences():
+                fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples)}
             for entry in entries:
                 twin = fd_entries.get(entry.check_id)
                 if twin is None or entry.status != "checked":

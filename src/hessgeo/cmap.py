@@ -149,15 +149,9 @@ class SpecialKahlerStructure:
         """(g_c, (I1, I2, I3)) on T*M, one frame bundle per structure."""
         return _frame_fields(self)
 
-    def g(self, q):
-        return self.metric(q)
-
-    def I(self, q):
-        return self.complex_structure(q)
-
     def omega(self, q):
         """w = g(I., .) as a matrix: I^T g."""
-        return self.I(q).T @ self.g(q)
+        return self.complex_structure(q).T @ self.metric(q)
 
     def omega_constant(self):
         """lambda * Omega, with lambda estimated at the first sample."""
@@ -172,12 +166,12 @@ class SpecialKahlerStructure:
 # -- prepotential construction ---------------------------------------------
 
 
-def _newton_invert(prep: Prepotential, q, seed_y=None):
+def _newton_invert(prep: Prepotential, q):
     """Solve Re F'(u + i y) = v for y; returns z = u + i y."""
     m = prep.m
     q = np.asarray(q, dtype=float)
     u, v = q[:m], q[m:]
-    y = np.array(prep.center_z().imag if seed_y is None else seed_y, dtype=float)
+    y = np.array(prep.center_z().imag, dtype=float)
     scale = max(1.0, float(np.max(np.abs(v))))
     for _ in range(NEWTON_MAX_ITER):
         jets = prep.jets(u + 1j * y)
@@ -240,7 +234,7 @@ def _tensors_at_z(prep: Prepotential, z):
 
 
 def special_kahler_from_prepotential(
-    prep: Prepotential, name="prepotential", seed=42, samples=100, validate=True
+    prep: Prepotential, name="prepotential", seed=42, samples=100
 ) -> SpecialKahlerStructure:
     m = prep.m
 
@@ -265,16 +259,15 @@ def special_kahler_from_prepotential(
         seed=seed,
         samples=samples,
     )
-    if validate:
-        for z in prep.sample_z(25, structure.rng(7)):
-            if not is_positive_definite(prep.jets(z).hessian.imag):
-                raise NotPositiveDefinite(z, "Im F'' not positive definite")
-        for entry in check_special_kahler_axioms(structure, samples=25):
-            if not entry.passed:
-                raise ConfigError(
-                    f"prepotential structure fails {entry.check_id}: "
-                    f"residual {entry.residual:.2e}"
-                )
+    for z in prep.sample_z(25, structure.rng(7)):
+        if not is_positive_definite(prep.jets(z).hessian.imag):
+            raise NotPositiveDefinite(z, "Im F'' not positive definite")
+    for entry in check_special_kahler_axioms(structure, samples=25):
+        if not entry.passed:
+            raise ConfigError(
+                f"prepotential structure fails {entry.check_id}: "
+                f"residual {entry.residual:.2e}"
+            )
     return structure
 
 
@@ -384,12 +377,12 @@ class HyperKahlerFrame(NamedTuple):
 def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame:
     """Frame matrices at (q, p); all tensors are independent of p."""
     n = sk.dim
-    g = sk.g(np.asarray(q, dtype=float))
+    g = sk.metric(np.asarray(q, dtype=float))
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric singular at {q}") from exc
-    I = sk.I(np.asarray(q, dtype=float))
+    I = sk.complex_structure(np.asarray(q, dtype=float))
     w = I.T @ g
     winv = np.linalg.inv(w)
     gc = np.zeros((2 * n, 2 * n))
@@ -451,21 +444,19 @@ def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
 # -- checks ----------------------------------------------------------------
 
 
-def check_special_kahler_axioms(
-    sk: SpecialKahlerStructure, samples=None, fd=False
-) -> List[CheckResult]:
+def check_special_kahler_axioms(sk: SpecialKahlerStructure, samples=None) -> List[CheckResult]:
     points = sk.sample_points(samples)
     n = sk.dim
     res_sq, res_herm, res_nij, res_omega, res_sym = (Residual() for _ in range(5))
     w_const = sk.omega_constant()
     for q in points:
-        g = sk.g(q)
-        I = sk.I(q)
+        g = sk.metric(q)
+        I = sk.complex_structure(q)
         res_sq.add_max_abs(I @ I + np.eye(n))
         res_herm.add_max_abs(I.T @ g @ I - g)
-        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q, fd=fd))
+        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q))
         res_omega.add_max_abs(I.T @ g - w_const)
-        res_sym.add(symmetry_defect(sk.metric.derivative(q, fd=fd)))
+        res_sym.add(symmetry_defect(sk.metric.derivative(q)))
         if not is_positive_definite(g):
             raise NotPositiveDefinite(q)
     count = len(points)
@@ -493,7 +484,7 @@ def check_special_kahler_axioms(
     ]
 
 
-def check_hyperkahler(sk: SpecialKahlerStructure, samples=None, fd=False) -> List[CheckResult]:
+def check_hyperkahler(sk: SpecialKahlerStructure, samples=None) -> List[CheckResult]:
     n = sk.dim
     points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
@@ -512,7 +503,7 @@ def check_hyperkahler(sk: SpecialKahlerStructure, samples=None, fd=False) -> Lis
     for pt in points[: min(len(points), 20)]:
         for Ik_field in I_fields:
             res_closed.add_max_abs(
-                exterior_derivative_2form(_kahler_form(gc_field, Ik_field), pt, fd=fd)
+                exterior_derivative_2form(_kahler_form(gc_field, Ik_field), pt)
             )
     count = len(points)
     return [
@@ -577,9 +568,7 @@ def check_invariance_psi_hat(
 # -- conformal rescaling ---------------------------------------------------
 
 
-def check_conformal_hyperkahler(
-    ss: SelfsimilarHessianStructure, samples=None, fd=False
-) -> List[CheckResult]:
+def check_conformal_hyperkahler(ss: SelfsimilarHessianStructure, samples=None) -> List[CheckResult]:
     """Conformal flow suite on T*M for the lifted field X = (A q, w A w^{-1} p),
     whose fiber part is xi transported through w."""
     sk = ss.base
@@ -594,16 +583,16 @@ def check_conformal_hyperkahler(
     gc_field, I_fields = sk.frame
     res_base_g, res_base_I = Residual(), Residual()
     for q in qs:
-        L = lie_derivative_metric(sk.metric, ss.xi, q, fd=fd)
-        res_base_g.add_max_abs(L - 2.0 * sk.g(q))
+        L = lie_derivative_metric(sk.metric, ss.xi, q)
+        res_base_g.add_max_abs(L - 2.0 * sk.metric(q))
         res_base_I.add_max_abs(
-            lie_derivative_endomorphism(sk.complex_structure, ss.xi, q, fd=fd)
+            lie_derivative_endomorphism(sk.complex_structure, ss.xi, q)
         )
-    res_norm, res_chk, res_control = conformal_flow_residuals(ss, X, gc_field, pts, fd=fd)
+    res_norm, res_chk, res_control = conformal_flow_residuals(ss, X, gc_field, pts)
     res_ik = Residual()
     for pt in pts:
         for Ik in I_fields:
-            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt, fd=fd))
+            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt))
     count = len(pts)
     tolerance = 1e-5
     return [

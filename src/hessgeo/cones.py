@@ -94,11 +94,7 @@ def _orthant(n):
             if unimodular:
                 d /= np.prod(d) ** (1.0 / n)
             perm = np.eye(n)[rng.permutation(n)]
-            autos.append(
-                AffineAutomorphism.linear(
-                    perm @ np.diag(d), "unimodular" if unimodular else "full"
-                )
-            )
+            autos.append(AffineAutomorphism.linear(perm @ np.diag(d)))
         return autos
 
     return ConePreset(
@@ -131,11 +127,9 @@ def _lorentz3():
             ch, sh = np.cosh(t), np.sinh(t)
             boost = np.array([[ch, sh, 0], [sh, ch, 0], [0, 0, 1]], dtype=float)
             A = boost @ rot
-            tag = "unimodular"
             if not unimodular:
                 A = np.exp(rng.uniform(-0.3, 0.3)) * A
-                tag = "full"
-            autos.append(AffineAutomorphism.linear(A, tag))
+            autos.append(AffineAutomorphism.linear(A))
         return autos
 
     return ConePreset(
@@ -179,11 +173,9 @@ def _spd2():
             d = np.linalg.det(G)
             if abs(d) < 0.3:
                 continue
-            tag = "full"
             if unimodular:
                 G = G / np.sqrt(abs(d))
-                tag = "unimodular"
-            autos.append(AffineAutomorphism.linear(_congruence_matrix(G), tag))
+            autos.append(AffineAutomorphism.linear(_congruence_matrix(G)))
         return autos
 
     return ConePreset(

@@ -29,7 +29,6 @@ from .tensors import (
     VectorFieldSpec,
     bundle_sample_points,
     exterior_derivative_2form,
-    fd_tensor_derivative,
     invariance_defect,
     lie_derivative_metric,
     lift_automorphisms,
@@ -115,14 +114,14 @@ def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
 # -- checks ----------------------------------------------------------------
 
 
-def check_kahler(lift: KahlerLift, samples=None, fd=False):
+def check_kahler(lift: KahlerLift, samples=None):
     """Closedness of w (and exact Hermitian block identity of g_r)."""
     points = lift.sample_points(samples)
     residual = Residual()
     for p in points:
         G = lift.metric(p)
         residual.add_max_abs(
-            exterior_derivative_2form(lift.omega, p, fd=fd), lift.J.T @ G @ lift.J - G
+            exterior_derivative_2form(lift.omega, p), lift.J.T @ G @ lift.J - G
         )
     return CheckResult(
         check_id="kahler_closed",
@@ -133,7 +132,7 @@ def check_kahler(lift: KahlerLift, samples=None, fd=False):
     )
 
 
-def check_potential_identity(lift: KahlerLift, samples=None, fd=False):
+def check_potential_identity(lift: KahlerLift, samples=None):
     """g_r equals the complex Hessian of 4 phi(x) on M x R^n."""
     base = lift.base
     n = base.dim
@@ -141,13 +140,12 @@ def check_potential_identity(lift: KahlerLift, samples=None, fd=False):
     lifted_potential = parse_expression(
         f"4.0*({base.potential.serialize()})", variables
     )
+    jet = lifted_potential.jet3
+    hessian = TensorField(2 * n, lambda q: jet(q).gradient, lambda q: jet(q).hessian)
     points = lift.sample_points(samples)
     residual = Residual()
     for p in points:
-        if fd:
-            H = fd_tensor_derivative(lambda q: lifted_potential.jet3(q).gradient, p)
-        else:
-            H = lifted_potential.jet3(p).hessian
+        H = hessian.derivative(p)
         # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
         h = 0.25 * (H[:n, :n] + H[n:, n:])
         complex_hessian = np.zeros((2 * n, 2 * n))
@@ -205,7 +203,7 @@ def projected_metric_field(g: TensorField):
     return TensorField(2 * n, func, dfunc if g.dfunc is not None else None)
 
 
-def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None, fd=False):
+def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None):
     """L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0 for the
     horizontal part xi1 = (A x + b, 0) and the vertical part xi2 = (0, A y + b)."""
     n = ss.dim
@@ -218,8 +216,8 @@ def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None, fd=False
     A_total = lift_field(ss.xi, ss.xi.A, ss.xi.b).A
     residual = Residual()
     for p in points:
-        L1 = lie_derivative_metric(pg, xi1, p, fd=fd)
-        L2 = lie_derivative_metric(pg, xi2, p, fd=fd)
+        L1 = lie_derivative_metric(pg, xi1, p)
+        L2 = lie_derivative_metric(pg, xi2, p)
         residual.add_max_abs(L1 - 2.0 * pg(p), L2)
     # constant J: L_{xi1+xi2} J = [J, A1 + A2]
     residual.add_max_abs(J @ A_total - A_total @ J)
@@ -237,14 +235,13 @@ def check_conformal_invariance(
     samples=None,
     automorphisms=(),
     fiber_shifts=(),
-    fd=False,
 ):
     """Conformal flow suite: homothety of the norm function, L w_cK = 0,
     psi-invariance of w_cK, and the unscaled negative control L w = 2 w."""
     lift = build_kahler_lift(ss.base)
     points = lift.sample_points(samples)
     res_norm, res_wck, res_control = conformal_flow_residuals(
-        ss, lift_field(ss.xi, ss.xi.A, ss.xi.b), lift.omega, points, fd=fd
+        ss, lift_field(ss.xi, ss.xi.A, ss.xi.b), lift.omega, points
     )
     entries = [
         CheckResult(

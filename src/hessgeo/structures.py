@@ -26,7 +26,6 @@ from .tensors import (
     Residual,
     TensorField,
     VectorFieldSpec,
-    fd_gradient,
     is_positive_definite,
     lie_derivative_metric,
     symmetry_defect,
@@ -133,7 +132,7 @@ class HessianStructure:
 @dataclass(frozen=True)
 class SelfsimilarHessianStructure:
     """A Hessian (or special Kahler) base plus an affine field xi with
-    L_xi g = 2 g; `validate` serves Hessian bases."""
+    L_xi g = 2 g, which `validate` checks at the base's samples."""
 
     base: HessianStructure
     xi: VectorFieldSpec
@@ -154,21 +153,21 @@ class SelfsimilarHessianStructure:
     def domain(self):
         return self.base.domain
 
-    def validate(self, tol=1e-8):
+    def validate(self):
         for p in self.base.sample_points():
             L = lie_derivative_metric(self.metric, self.xi, p)
-            if np.max(np.abs(L - 2.0 * self.metric(p))) > tol:
+            if np.max(np.abs(L - 2.0 * self.metric(p))) > 1e-8:
                 raise ConfigError(f"L_xi g != 2 g at {p}")
             norm_squared(self, p)  # raises NonpositiveNorm when <= 0
         return self
 
 
-def check_selfsimilar(structure: HessianStructure, xi: VectorFieldSpec, samples=None, fd=False):
+def check_selfsimilar(structure: HessianStructure, xi: VectorFieldSpec, samples=None):
     """Max over samples of ||L_xi g - 2 g||_inf."""
     points = structure.sample_points(samples)
     residual = Residual()
     for p in points:
-        L = lie_derivative_metric(structure.metric, xi, p, fd=fd)
+        L = lie_derivative_metric(structure.metric, xi, p)
         residual.add_max_abs(L - 2.0 * structure.metric(p))
     return CheckResult(
         check_id="selfsimilar_metric",
@@ -196,15 +195,15 @@ def norm_squared(s, p, check=True):
     return value
 
 
-def norm_gradient(s, p, fd=False):
-    """d_k g(xi, xi) = 2 (J^T g xi)_k + dg[k](xi, xi), J the Jacobian of xi;
-    by finite differences under fd."""
-    p = np.asarray(p, dtype=float)
-    if fd:
-        return fd_gradient(lambda q: norm_squared(s, q, check=False), p)
-    v = s.xi.value(p)
-    D = s.metric.derivative(p)
-    return 2.0 * (s.xi.jacobian(p).T @ (s.metric(p) @ v)) + np.einsum("i,j,kij->k", v, v, D)
+def norm_gradient(s, p):
+    """d_k g(xi, xi), the derivative of the scalar field g(xi, xi): exactly
+    2 (J^T g xi)_k + dg[k](xi, xi), J the Jacobian of xi."""
+
+    def exact(x):
+        v, D = s.xi.value(x), s.metric.derivative(x)
+        return 2.0 * (s.xi.jacobian(x).T @ (s.metric(x) @ v)) + np.einsum("i,j,kij->k", v, v, D)
+
+    return TensorField(s.dim, lambda q: norm_squared(s, q, check=False), exact).derivative(p)
 
 
 def conformal_rescaling(s, T: TensorField) -> TensorField:
@@ -223,7 +222,7 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
     return TensorField(T.dim, func, dfunc)
 
 
-def conformal_flow_residuals(s, X, T: TensorField, points, fd=False):
+def conformal_flow_residuals(s, X, T: TensorField, points):
     """Residuals over bundle points of the flow of the lifted field X, which
     moves the base point along xi: (|L_X N - 2 N| for N = pi^* g(xi, xi),
     |L_X (T / N)|, the unscaled control |L_X T - 2 T|)."""
@@ -232,10 +231,10 @@ def conformal_flow_residuals(s, X, T: TensorField, points, fd=False):
     res_norm, res_flow, res_control = Residual(), Residual(), Residual()
     for p in points:
         x = p[:n]
-        lie_norm = float(s.xi.value(x) @ norm_gradient(s, x, fd=fd))
+        lie_norm = float(s.xi.value(x) @ norm_gradient(s, x))
         res_norm.add(abs(lie_norm - 2.0 * norm_squared(s, x)))
-        res_flow.add_max_abs(lie_derivative_metric(rescaled, X, p, fd=fd))
-        res_control.add_max_abs(lie_derivative_metric(T, X, p, fd=fd) - 2.0 * T(p))
+        res_flow.add_max_abs(lie_derivative_metric(rescaled, X, p))
+        res_control.add_max_abs(lie_derivative_metric(T, X, p) - 2.0 * T(p))
     return res_norm.value, res_flow.value, res_control.value
 
 

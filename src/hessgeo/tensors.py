@@ -2,10 +2,11 @@
 
 Every field, whether a metric, a 2-form or an endomorphism, is one
 `TensorField`: an evaluator `point -> array`.  Fields built from expressions
-carry analytic derivatives (order-3 jets); fields only available numerically
-fall back to Richardson-extrapolated central finite differences with step
+carry analytic derivatives (order-3 jets); fields only available numerically,
+and every field inside `finite_differences()`, differentiate by
+Richardson-extrapolated central finite differences with step
 `FD_STEP * max(1, |p|)`.  A field whose value and derivative come from the
-same per-point work reads both from one `point_bundle`.
+same per-point work reads both from one `point_bundle`, always computed exactly.
 Checks collect their residuals in a `Residual`, and measure invariance under
 affine maps with `invariance_defect`.
 """
@@ -13,6 +14,8 @@ affine maps with `invariance_defect`.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -26,6 +29,7 @@ from .expressions import ScalarExpression
 __all__ = [
     "FD_STEP",
     "POINT_CACHE_SIZE",
+    "finite_differences",
     "point_bundle",
     "TensorField",
     "VectorFieldSpec",
@@ -54,15 +58,35 @@ FD_STEP = 1e-5
 # once at this size (1,062 inversions at 32); at m = 2 that cache holds < 1 MB.
 POINT_CACHE_SIZE = 512
 
+# on in `finite_differences()`, off in `point_bundle`; read by `TensorField.derivative` alone
+_FINITE_DIFFERENCES = ContextVar("finite_differences", default=False)
+
+
+@contextmanager
+def _derivatives_by_fd(on):
+    token = _FINITE_DIFFERENCES.set(on)
+    try:
+        yield
+    finally:
+        _FINITE_DIFFERENCES.reset(token)
+
+
+def finite_differences():
+    """Inside this block every `TensorField.derivative` is the finite
+    difference of the field's values, exact derivative or not."""
+    return _derivatives_by_fd(True)
+
 
 def point_bundle(compute):
     """`compute(p)`, a tuple of arrays, memoised per point for the most
     recent `POINT_CACHE_SIZE` points.  The arrays are read-only, since every
-    caller at that point shares them."""
+    caller at that point shares them, and exact: `compute` runs outside
+    `finite_differences()`, so no finite difference is cached."""
 
     @lru_cache(maxsize=POINT_CACHE_SIZE)
     def cached(key):
-        arrays = compute(np.frombuffer(key))
+        with _derivatives_by_fd(False):
+            arrays = compute(np.frombuffer(key))
         for array in arrays:
             array.setflags(write=False)
         return arrays
@@ -99,7 +123,7 @@ def fd_tensor_derivative(func, p):
 class TensorField:
     """Tensor field (metric, 2-form or endomorphism) given by an evaluator,
     optionally with its exact derivative D[k, ...] = d_k T_...; without one,
-    `derivative` falls back to central finite differences."""
+    or inside `finite_differences()`, `derivative` is a finite difference."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
@@ -147,10 +171,10 @@ class TensorField:
     def __call__(self, p):
         return self.func(np.asarray(p, dtype=float))
 
-    def derivative(self, p, fd=False):
-        if self.dfunc is not None and not fd:
-            return self.dfunc(np.asarray(p, dtype=float))
-        return fd_tensor_derivative(self.func, p)
+    def derivative(self, p):
+        if self.dfunc is None or _FINITE_DIFFERENCES.get():
+            return fd_tensor_derivative(self.func, p)
+        return self.dfunc(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -179,7 +203,6 @@ class AffineAutomorphism:
 
     A: np.ndarray
     b: np.ndarray
-    tag: str = ""  # e.g. "full" | "unimodular"
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -190,9 +213,9 @@ class AffineAutomorphism:
             raise ValueError("affine automorphism with singular linear part")
 
     @classmethod
-    def linear(cls, A, tag=""):
+    def linear(cls, A):
         A = np.asarray(A, dtype=float)
-        return cls(A, np.zeros(A.shape[0]), tag)
+        return cls(A, np.zeros(A.shape[0]))
 
     def __call__(self, p):
         return self.A @ np.asarray(p, dtype=float) + self.b
@@ -230,7 +253,7 @@ def lift_automorphisms(autos, fiber_linear, shifts=()):
         P[n:, n:] = fiber_linear(T.A)
         shift = shifts[k % len(shifts)] if len(shifts) else np.zeros(n)
         b = np.concatenate([T.b, np.asarray(shift, dtype=float)])
-        lifted.append(AffineAutomorphism(P, b, T.tag))
+        lifted.append(AffineAutomorphism(P, b))
     return lifted
 
 
@@ -244,28 +267,28 @@ def lift_field(xi: VectorFieldSpec, fiber_linear, fiber_shift):
     return VectorFieldSpec(X, np.concatenate([xi.b, np.asarray(fiber_shift, dtype=float)]))
 
 
-def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p, fd=False):
+def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p):
     """(L_xi T)_ij of a covariant 2-tensor T, a metric or a 2-form:
     xi^k d_k T_ij + T_kj d_i xi^k + T_ik d_j xi^k."""
     p = np.asarray(p, dtype=float)
     Tp = T(p)
-    DT = T.derivative(p, fd=fd)
+    DT = T.derivative(p)
     J = xi.jacobian(p)
     return np.einsum("k,kij->ij", xi.value(p), DT) + J.T @ Tp + Tp @ J
 
 
-def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p, fd=False):
+def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p):
     """(L_xi J)^i_j = xi^k d_k J^i_j - J^k_j d_k xi^i + J^i_k d_j xi^k."""
     p = np.asarray(p, dtype=float)
     Jm = J(p)
-    DJ = J.derivative(p, fd=fd)
+    DJ = J.derivative(p)
     X = xi.jacobian(p)
     return np.einsum("k,kij->ij", xi.value(p), DJ) + Jm @ X - X @ Jm
 
 
-def exterior_derivative_2form(omega: TensorField, p, fd=False):
+def exterior_derivative_2form(omega: TensorField, p):
     """(d omega)_{kij} = d_k w_ij - d_i w_kj + d_j w_ki."""
-    D = omega.derivative(p, fd=fd)
+    D = omega.derivative(p)
     return D - np.transpose(D, (1, 0, 2)) + np.transpose(D, (1, 2, 0))
 
 
@@ -277,11 +300,11 @@ def symmetry_defect(D):
     ).value
 
 
-def nijenhuis(J: TensorField, p, fd=False):
+def nijenhuis(J: TensorField, p):
     """Nijenhuis tensor N^i_{jk}, antisymmetric in j, k."""
     p = np.asarray(p, dtype=float)
     Jm = J(p)
-    D = J.derivative(p, fd=fd)  # D[m,i,j] = d_m J^i_j
+    D = J.derivative(p)  # D[m,i,j] = d_m J^i_j
     # N(X,Y)^i = J^m_j d_m J^i_k - J^m_k d_m J^i_j - J^i_m (d_j J^m_k - d_k J^m_j)
     t1 = np.einsum("mj,mik->ijk", Jm, D)
     t2 = np.einsum("mk,mij->ijk", Jm, D)

@@ -319,6 +319,54 @@ def test_suite_table_covers_the_suite_names():
         assert set(spec.base_tensors) <= set(spec.tensors)
 
 
+FLAT_PREPOTENTIAL = {"m": 1, "F": "i*z1^2/2", "box": [[-1.0, 1.0], [-1.0, 1.0]]}
+CHECK_CFG = ["check", "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ("{bad", CHECK_CFG, "cfg.json is not valid JSON"),
+        ("[1, 2]", CHECK_CFG, "cfg.json must hold a JSON object, not a list"),
+        (None, ["check", "orthant2", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (None, ["eval", "orthant2", "g", "--at=1,1", "--seed", "-1"], "--seed must be at least 0"),
+        ({**HESSIAN_CONFIG, "seed": -3}, CHECK_CFG, "seed must be at least 0, got -3"),
+        ({**HESSIAN_CONFIG, "seed": "abc"}, CHECK_CFG, "seed must be an integer, got 'abc'"),
+        ({**HESSIAN_CONFIG, "samples": 0}, CHECK_CFG, "samples must be at least 1, got 0"),
+        ({**FLAT_PREPOTENTIAL, "samples": "x"}, CHECK_CFG, "samples must be an integer"),
+        ({**FLAT_PREPOTENTIAL, "samples": 0}, CHECK_CFG, "samples must be at least 1"),
+        ({**FLAT_PREPOTENTIAL, "samples": -3}, CHECK_CFG, "samples must be at least 1"),
+    ],
+    ids=[
+        "not-json", "not-an-object", "negative-seed", "eval-negative-seed",
+        "config-negative-seed", "config-text-seed", "config-zero-samples",
+        "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
+    ],
+)
+def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):
+    # each of these raised from json, numpy or a dict method and exited 1
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "cfg.json").write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_special_kahler_kind_follows_its_euler_field(tmp_path, capsys):
+    # z1^3/6 is not homogeneous of degree 2, so its Euler field is not
+    # homothetic: as a config it gets the sk_cubic preset's suites and no g_chK
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"m": 1, "F": "z1^3/6", "box": [[-1, 1], [0.5, 1.5]]}))
+    kind, _ = resolve_geometry(str(path), 42, 5)
+    assert applicable_suites(kind) == applicable_suites(resolve_geometry("sk_cubic", 42, 5)[0])
+    assert main(["check", str(path), "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(path), "g_chk", "--at=0.1,-0.495"]) == 2
+    assert "tensor 'g_chk' is not available" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one_rejected(capsys, samples):
     assert main(["check", "orthant2", "--suite", "cone", "--samples", samples]) == 2

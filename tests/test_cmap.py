@@ -30,6 +30,7 @@ from hessgeo.tensors import (
     VectorFieldSpec,
     bundle_sample_points,
     fd_tensor_derivative,
+    finite_differences,
     lift_automorphisms,
 )
 
@@ -133,7 +134,7 @@ def test_corrupted_frame_fails_quaternion_relations():
 
 def test_psi_hat_invariance_flat_rotations():
     sk = special_kahler_preset("sk_flat", samples=10)
-    I = sk.I(sk.sample_points(1)[0])
+    I = sk.complex_structure(sk.sample_points(1)[0])
     autos = [
         AffineAutomorphism.linear(np.cos(t) * np.eye(2) + np.sin(t) * I)
         for t in (0.4, -0.9)
@@ -216,7 +217,22 @@ def test_exact_frame_derivatives_match_fd(name):
         for label, field in fields.items():
             assert_close(field.derivative(pt), fd_tensor_derivative(field, pt), label)
         q = pt[: sk.dim]
-        assert_close(norm_gradient(ss, q), norm_gradient(ss, q, fd=True), "dN")
+        with finite_differences():
+            fd = norm_gradient(ss, q)
+        assert_close(norm_gradient(ss, q), fd, "dN")
+
+
+def test_frame_first_built_under_finite_differences_stays_exact():
+    # the frame bundle differentiates g and I; built inside the block, it must
+    # not cache their finite differences for the exact derivatives read later
+    sk = special_kahler_preset("sk_conic", samples=3)
+    pt = bundle_sample_points(sk, 1, 0, FIBER_SALT)[0]
+    gc, I_fields = sk.frame
+    with finite_differences():
+        gc(pt)
+    fresh_gc, fresh_I_fields = special_kahler_preset("sk_conic", samples=3).frame
+    assert np.array_equal(gc.derivative(pt), fresh_gc.derivative(pt))
+    assert np.array_equal(I_fields[1].derivative(pt), fresh_I_fields[1].derivative(pt))
 
 
 def test_one_newton_inversion_per_darboux_point(monkeypatch):
@@ -263,7 +279,7 @@ def test_cached_darboux_tensors_are_read_only():
     g = TensorField.from_potential(parse_expression("-ln(x1)-ln(x2)", ["x1", "x2"]))
     x = np.array([0.5, 2.0])
     reads = [
-        (sk.g, q),
+        (sk.metric, q),
         (sk.metric.derivative, q),
         (sk.complex_structure.derivative, q),
         (gc, pt),

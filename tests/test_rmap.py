@@ -16,6 +16,7 @@ from hessgeo.tensors import (
     AffineAutomorphism,
     VectorFieldSpec,
     exterior_derivative_2form,
+    finite_differences,
     lie_derivative_metric,
     lift_automorphisms,
     lift_field,
@@ -60,7 +61,8 @@ def test_potential_identity(orthant_lift):
 
 
 def test_potential_identity_fd(orthant_lift):
-    entry = check_potential_identity(orthant_lift, samples=5, fd=True)
+    with finite_differences():
+        entry = check_potential_identity(orthant_lift, samples=5)
     assert entry.residual < 1e-3
 
 

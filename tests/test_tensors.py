@@ -1,6 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from flows import affine_flow
+
+import hessgeo
 
 from hessgeo.cmap import special_kahler_preset
 from hessgeo.cones import preset
@@ -12,6 +18,7 @@ from hessgeo.tensors import (
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
+    finite_differences,
     invariance_defect,
     is_positive_definite,
     lie_derivative_endomorphism,
@@ -59,7 +66,34 @@ def test_potential_field_makes_one_jet_per_point(monkeypatch):
 def test_metric_derivative_fd_agrees():
     g = metric_from("1/(x1*x2)")
     p = np.array([0.8, 1.4])
-    assert g.derivative(p, fd=True) == pytest.approx(g.derivative(p), abs=1e-6)
+    with finite_differences():
+        fd = g.derivative(p)
+    assert fd == pytest.approx(g.derivative(p), abs=1e-6)
+
+
+def test_finite_differences_switch_is_off_after_an_error_in_its_block():
+    # the exact derivative of p^2 is marked wrong, -1, to tell the two apart
+    marked = TensorField(1, lambda p: p * p, lambda p: np.array([[-1.0]]))
+    p = np.array([3.0])
+    with pytest.raises(RuntimeError):
+        with finite_differences():
+            assert marked.derivative(p) == pytest.approx(np.array([[6.0]]))
+            raise RuntimeError
+    assert marked.derivative(p) == np.array([[-1.0]])
+
+
+def test_no_function_takes_an_fd_parameter():
+    # the derivative method is the `finite_differences()` switch, never an argument
+    for info in pkgutil.iter_modules(hessgeo.__path__):
+        module = importlib.import_module(f"hessgeo.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for fn in (obj, *members):
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn):
+                    assert "fd" not in inspect.signature(fn).parameters, (module, name)
 
 
 def test_lie_derivative_of_radiant_field():
@@ -102,7 +136,8 @@ def test_lie_derivative_2form_matches_flow():
     numeric = (
         flow_p.A.T @ w(flow_p(p)) @ flow_p.A - flow_m.A.T @ w(flow_m(p)) @ flow_m.A
     ) / (2 * t)
-    assert lie_derivative_metric(form, xi, p, fd=True) == pytest.approx(numeric, abs=1e-6)
+    with finite_differences():
+        assert lie_derivative_metric(form, xi, p) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_lie_derivative_constant_endomorphism():
@@ -127,10 +162,11 @@ def test_exterior_derivative_oracle():
         return TensorField(3, func)
 
     closed = w(lambda q: q[0])
-    assert exterior_derivative_2form(closed, [0.5, 0.5, 0.5], fd=True) == pytest.approx(
-        np.zeros((3, 3, 3)), abs=1e-9
-    )
-    d = exterior_derivative_2form(w(lambda q: q[2]), [0.5, 0.5, 0.5], fd=True)
+    with finite_differences():
+        assert exterior_derivative_2form(closed, [0.5, 0.5, 0.5]) == pytest.approx(
+            np.zeros((3, 3, 3)), abs=1e-9
+        )
+        d = exterior_derivative_2form(w(lambda q: q[2]), [0.5, 0.5, 0.5])
     assert d[2, 0, 1] == pytest.approx(1.0, abs=1e-9)
     assert d[0, 2, 1] == pytest.approx(-1.0, abs=1e-9)
     assert np.max(np.abs(d)) == pytest.approx(1.0, abs=1e-9)
@@ -146,7 +182,8 @@ def test_nijenhuis_nonvanishing_for_scaled_structure():
     # tensor identity N = 0
     J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     J = TensorField(2, lambda p: (1.0 + p[0] ** 2) * J0)
-    N = nijenhuis(J, [0.7, 0.1], fd=True)
+    with finite_differences():
+        N = nijenhuis(J, [0.7, 0.1])
     assert np.max(np.abs(N)) > 1e-3
 
 
