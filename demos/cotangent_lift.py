@@ -29,7 +29,7 @@ def main():
 
     z = sk.prepotential.center_z()
     q = np.concatenate([z.real, sk.prepotential.jets(z).gradient.real])
-    back = _newton_invert(sk.prepotential, q)
+    back, _ = _newton_invert(sk.prepotential, q)
     print(f"Darboux chart round trip |z - z(q(z))| = {np.max(np.abs(back - z)):.2e}")
 
     print("metric at the center point:")

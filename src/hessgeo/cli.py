@@ -611,6 +611,8 @@ def _parse_tols(items):
             out[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
+        if not 0 < out[key] < np.inf:
+            raise ConfigError(f"--tol values must be finite and positive, got {item!r}")
     return out
 
 

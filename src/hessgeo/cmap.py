@@ -45,6 +45,7 @@ from .tensors import (
     AffineAutomorphism,
     Residual,
     TensorField,
+    blocks,
     bundle_sample_points,
     exterior_derivative_2form,
     invariance_defect,
@@ -167,7 +168,7 @@ class SpecialKahlerStructure:
 
 
 def _newton_invert(prep: Prepotential, q):
-    """Solve Re F'(u + i y) = v for y; returns z = u + i y."""
+    """Solve Re F'(u + i y) = v for y; returns z = u + i y and the jets of F there."""
     m = prep.m
     q = np.asarray(q, dtype=float)
     u, v = q[:m], q[m:]
@@ -177,7 +178,7 @@ def _newton_invert(prep: Prepotential, q):
         jets = prep.jets(u + 1j * y)
         r = jets.gradient.real - v
         if np.max(np.abs(r)) < NEWTON_TOL * scale:
-            return u + 1j * y
+            return u + 1j * y, jets
         N = jets.hessian.imag
         try:
             step = np.linalg.solve(N, r)
@@ -187,49 +188,31 @@ def _newton_invert(prep: Prepotential, q):
     raise NewtonDivergence(q)
 
 
-def _tensors_at_z(prep: Prepotential, z):
-    """(g, I, dg, dI) in Darboux coordinates at the point with complex coordinate z."""
+def _tensors_at_z(prep: Prepotential, z, jets):
+    """(g, I, dg, dI) in Darboux coordinates at the point with complex
+    coordinate z, from the jets of F there; dg and dI are stacked over k."""
     m = prep.m
-    jets = prep.jets(z)
-    F2 = jets.hessian
-    F3 = jets.third
-    N = F2.imag
-    R = F2.real
+    N, R = jets.hessian.imag, jets.hessian.real
     J = standard_symplectic(m)
-    T = np.zeros((2 * m, 2 * m))
-    T[:m, :m] = np.eye(m)
-    T[m:, :m] = R
-    T[m:, m:] = -N
+    T = blocks(np.eye(m), 0, R, -N)
     try:
         Tinv = np.linalg.inv(T)
         Ninv = np.linalg.inv(N)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"Im F'' singular at z = {z}") from exc
-    G = np.zeros((2 * m, 2 * m))
-    G[:m, :m] = N
-    G[m:, m:] = N
+    G = blocks(N, 0, 0, N)
     g = Tinv.T @ G @ Tinv
     Imat = T @ J @ Tinv
     # implicit differentiation: dz/du = Id + i N^{-1} R, dz/dv = -i N^{-1};
     # stored as dz[k, l] = dz_l / dq_k, hence the transpose
-    dz = np.zeros((2 * m, m), dtype=np.complex128)
-    dz[:m, :] = np.eye(m) + 1j * (Ninv @ R).T
-    dz[m:, :] = -1j * Ninv.T
-    dF2 = np.einsum("kl,ijl->kij", dz, F3)  # d_k F_ij over the 2m chart
-    dN = dF2.imag
-    dR = dF2.real
-    dg = np.zeros((2 * m, 2 * m, 2 * m))
-    dI = np.zeros((2 * m, 2 * m, 2 * m))
-    for k in range(2 * m):
-        dT = np.zeros((2 * m, 2 * m))
-        dT[m:, :m] = dR[k]
-        dT[m:, m:] = -dN[k]
-        dTinv = -Tinv @ dT @ Tinv
-        dG = np.zeros((2 * m, 2 * m))
-        dG[:m, :m] = dN[k]
-        dG[m:, m:] = dN[k]
-        dg[k] = dTinv.T @ G @ Tinv + Tinv.T @ dG @ Tinv + Tinv.T @ G @ dTinv
-        dI[k] = dT @ J @ Tinv + T @ J @ dTinv
+    dz = np.concatenate([np.eye(m) + 1j * (Ninv @ R).T, -1j * Ninv.T])
+    dF2 = np.einsum("kl,ijl->kij", dz, jets.third)  # d_k F_ij over the 2m chart
+    dN, dR = dF2.imag, dF2.real
+    dT = blocks(0, 0, dR, -dN)
+    dTinv = -Tinv @ dT @ Tinv
+    dG = blocks(dN, 0, 0, dN)
+    dg = np.transpose(dTinv, (0, 2, 1)) @ G @ Tinv + Tinv.T @ dG @ Tinv + Tinv.T @ G @ dTinv
+    dI = dT @ J @ Tinv + T @ J @ dTinv
     return g, Imat, dg, dI
 
 
@@ -243,7 +226,7 @@ def special_kahler_from_prepotential(
         return np.concatenate([z.real, jets.gradient.real])
 
     # (g, I, dg, dI) at a Darboux point q: one Newton inversion per point
-    tensors = point_bundle(lambda q: _tensors_at_z(prep, _newton_invert(prep, q)))
+    tensors = point_bundle(lambda q: _tensors_at_z(prep, *_newton_invert(prep, q)))
 
     def sampler(count, rng):
         return np.array([q_of_z(z) for z in prep.sample_z(count, rng)])
@@ -376,7 +359,6 @@ class HyperKahlerFrame(NamedTuple):
 
 def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame:
     """Frame matrices at (q, p); all tensors are independent of p."""
-    n = sk.dim
     g = sk.metric(np.asarray(q, dtype=float))
     try:
         ginv = np.linalg.inv(g)
@@ -385,20 +367,13 @@ def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame
     I = sk.complex_structure(np.asarray(q, dtype=float))
     w = I.T @ g
     winv = np.linalg.inv(w)
-    gc = np.zeros((2 * n, 2 * n))
-    gc[:n, :n] = g
-    gc[n:, n:] = ginv
-    I1 = np.zeros((2 * n, 2 * n))
-    I1[:n, :n] = I
-    I1[n:, n:] = I.T
-    I2 = np.zeros((2 * n, 2 * n))
-    I2[:n, n:] = -winv
-    I2[n:, :n] = w
-    return HyperKahlerFrame(gc, I1, I2, I1 @ I2)
+    I1 = blocks(I, 0, 0, I.T)
+    I2 = blocks(0, -winv, w, 0)
+    return HyperKahlerFrame(blocks(g, 0, 0, ginv), I1, I2, I1 @ I2)
 
 
 def _frame_derivative(sk: SpecialKahlerStructure, q, frame) -> HyperKahlerFrame:
-    """D[k] = d_k of each frame matrix over the 2n coordinates (q, p) of T*M,
+    """D[k] = d_k of each frame matrix for the n base coordinates q of T*M,
     from the frame at q and dg, dI there; the rows along p vanish."""
     n = sk.dim
     g, I = frame.gc[:n, :n], frame.I1[:n, :n]
@@ -406,13 +381,9 @@ def _frame_derivative(sk: SpecialKahlerStructure, q, frame) -> HyperKahlerFrame:
     ginv, winv = frame.gc[n:, n:], -frame.I2[:n, n:]
     dIT = np.transpose(dI, (0, 2, 1))
     dw = dIT @ g + I.T @ dg  # w = I^T g
-    dgc, dI1, dI2 = (np.zeros((2 * n, 2 * n, 2 * n)) for _ in range(3))
-    dgc[:n, :n, :n] = dg
-    dgc[:n, n:, n:] = -ginv @ dg @ ginv  # d(g^{-1}) = -g^{-1} dg g^{-1}
-    dI1[:n, :n, :n] = dI
-    dI1[:n, n:, n:] = dIT
-    dI2[:n, :n, n:] = winv @ dw @ winv  # d(-w^{-1}) = w^{-1} dw w^{-1}
-    dI2[:n, n:, :n] = dw
+    dgc = blocks(dg, 0, 0, -ginv @ dg @ ginv)  # d(g^{-1}) = -g^{-1} dg g^{-1}
+    dI1 = blocks(dI, 0, 0, dIT)
+    dI2 = blocks(0, winv @ dw @ winv, dw, 0)  # d(-w^{-1}) = w^{-1} dw w^{-1}
     return HyperKahlerFrame(dgc, dI1, dI2, dI1 @ frame.I2 + frame.I1 @ dI2)
 
 
@@ -422,7 +393,8 @@ def _frame_fields(sk: SpecialKahlerStructure):
 
     def frame_and_derivative(q):
         frame = build_hyperkahler(sk, q)
-        return (*frame, *_frame_derivative(sk, q, frame))
+        base_rows = _frame_derivative(sk, q, frame)
+        return (*frame, *(np.concatenate([D, np.zeros_like(D)]) for D in base_rows))
 
     at_q = point_bundle(frame_and_derivative)
     gc, I1, I2, I3 = (

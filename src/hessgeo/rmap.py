@@ -27,12 +27,14 @@ from .tensors import (
     Residual,
     TensorField,
     VectorFieldSpec,
+    blocks,
     bundle_sample_points,
     exterior_derivative_2form,
     invariance_defect,
     lie_derivative_metric,
     lift_automorphisms,
     lift_field,
+    lift_tensor,
     require_isometry,
     standard_symplectic,
 )
@@ -40,49 +42,12 @@ from .tensors import (
 __all__ = [
     "KahlerLift",
     "build_kahler_lift",
-    "lift_metric_field",
     "check_kahler",
     "check_potential_identity",
     "check_invariance_psi",
     "check_lemma_xi_items",
     "check_conformal_invariance",
 ]
-
-def lift_metric_field(g: TensorField):
-    """Block lift of any base metric field: g_r = diag(g, g), w = g dx ^ dy."""
-    n = g.dim
-
-    def gr(p):
-        G = g(p[:n])
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = G
-        out[n:, n:] = G
-        return out
-
-    def om(p):
-        G = g(p[:n])
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = G
-        out[n:, :n] = -G
-        return out
-
-    def dgr(p):
-        D = g.derivative(p[:n])
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        out[:n, :n, :n] = D
-        out[:n, n:, n:] = D
-        return out
-
-    def dom(p):
-        D = g.derivative(p[:n])
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        out[:n, :n, n:] = D
-        out[:n, n:, :n] = -np.transpose(D, (0, 2, 1))
-        return out
-
-    metric = TensorField(2 * n, gr, dgr if g.dfunc is not None else None)
-    omega = TensorField(2 * n, om, dom if g.dfunc is not None else None)
-    return metric, omega
 
 
 @dataclass(frozen=True)
@@ -102,12 +67,12 @@ class KahlerLift:
 
 
 def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
-    metric, omega = lift_metric_field(structure.metric)
+    """g_r = diag(g, g) and w = g dx ^ dy, lifted from the base metric g."""
     return KahlerLift(
         base=structure,
         J=standard_symplectic(structure.dim),
-        metric=metric,
-        omega=omega,
+        metric=lift_tensor(structure.metric, lambda G: blocks(G, 0, 0, G)),
+        omega=lift_tensor(structure.metric, lambda G: blocks(0, G, -G.swapaxes(-1, -2), 0)),
     )
 
 
@@ -148,10 +113,7 @@ def check_potential_identity(lift: KahlerLift, samples=None):
         H = hessian.derivative(p)
         # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
         h = 0.25 * (H[:n, :n] + H[n:, n:])
-        complex_hessian = np.zeros((2 * n, 2 * n))
-        complex_hessian[:n, :n] = h
-        complex_hessian[n:, n:] = h
-        residual.add_max_abs(complex_hessian - lift.metric(p), H[:n, n:])
+        residual.add_max_abs(blocks(h, 0, 0, h) - lift.metric(p), H[:n, n:])
     return CheckResult(
         check_id="kahler_potential",
         claim="g_r equals the complex Hessian of 4 pi^* phi",
@@ -186,29 +148,12 @@ def check_invariance_psi(
     )
 
 
-def projected_metric_field(g: TensorField):
-    """pi^* g as a degenerate covariant 2-tensor diag(g, 0) on M x R^n."""
-    n = g.dim
-
-    def func(p):
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = g(p[:n])
-        return out
-
-    def dfunc(p):
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        out[:n, :n, :n] = g.derivative(p[:n])
-        return out
-
-    return TensorField(2 * n, func, dfunc if g.dfunc is not None else None)
-
-
 def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None):
     """L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0 for the
     horizontal part xi1 = (A x + b, 0) and the vertical part xi2 = (0, A y + b)."""
     n = ss.dim
     lift = build_kahler_lift(ss.base)
-    pg = projected_metric_field(ss.metric)
+    pg = lift_tensor(ss.metric, lambda G: blocks(G, 0, 0, 0))  # pi^* g
     points = lift.sample_points(samples)
     J = lift.J
     xi1 = lift_field(ss.xi, np.zeros((n, n)), np.zeros(n))

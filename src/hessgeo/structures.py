@@ -67,23 +67,23 @@ class Domain:
             return False
 
     def sample(self, count, rng, max_tries=10000):
-        """Rejection-sample `count` interior points; resample, never skip."""
+        """Rejection-sample `count` interior points; resample, never skip.
+        Gives up after `max_tries` draws in a row outside the domain."""
         lo, hi = self.box[:, 0], self.box[:, 1]
-        points = []
-        for _ in range(max_tries):
+        points, misses = [], 0
+        while len(points) < count:
             p = lo + (hi - lo) * rng.random(self.dim)
             if self.contains(p):
                 points.append(p)
-                if len(points) == count:
-                    return np.array(points)
-        if not points:
-            raise EmptyDomainSample(
-                "no domain point found in the bounding box after "
-                f"{max_tries} draws"
-            )
-        raise EmptyDomainSample(
-            f"only {len(points)}/{count} domain points found in the bounding box"
-        )
+                misses = 0
+                continue
+            misses += 1
+            if misses == max_tries:
+                raise EmptyDomainSample(
+                    f"only {len(points)}/{count} domain points found in the bounding "
+                    f"box: {max_tries} draws in a row missed the domain"
+                )
+        return np.array(points)
 
 
 @dataclass(frozen=True)

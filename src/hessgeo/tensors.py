@@ -35,6 +35,8 @@ __all__ = [
     "VectorFieldSpec",
     "AffineAutomorphism",
     "Residual",
+    "blocks",
+    "lift_tensor",
     "standard_symplectic",
     "bundle_sample_points",
     "lift_automorphisms",
@@ -145,21 +147,17 @@ class TensorField:
 
     @classmethod
     def from_components(cls, components):
-        """Explicit component expressions; derivative from the component jets."""
+        """Explicit component expressions; one jet per component per point
+        gives the value and the derivative."""
         comps = [list(row) for row in components]
-        n = len(comps)
 
-        def func(p):
-            return np.array([[c(p) for c in row] for row in comps])
+        def value_and_derivative(p):
+            jets = [[c.jet3(p) for c in row] for row in comps]
+            value = np.array([[jet.value for jet in row] for row in jets], dtype=float)
+            gradients = np.array([[jet.gradient for jet in row] for row in jets])
+            return value, np.ascontiguousarray(np.moveaxis(gradients, 2, 0))
 
-        def dfunc(p):
-            D = np.zeros((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    D[:, i, j] = comps[i][j].jet3(p).gradient
-            return D
-
-        return cls(n, func, dfunc)
+        return cls.from_bundle(len(comps), point_bundle(value_and_derivative), 0, 1)
 
     @classmethod
     def constant(cls, matrix):
@@ -224,13 +222,46 @@ class AffineAutomorphism:
 # -- operations ------------------------------------------------------------
 
 
+def blocks(a, b, c, d):
+    """[[a, b], [c, d]] over the last two axes.  The blocks are real numpy
+    arrays of one shape: (n, n) matrices, or stacks (..., n, n) of derivative
+    slices.  A block given as 0 (anything but an array) is zero and skipped."""
+    given = (
+        a if isinstance(a, np.ndarray)
+        else b if isinstance(b, np.ndarray)
+        else c if isinstance(c, np.ndarray)
+        else d
+    )
+    n = given.shape[-1]
+    out = np.zeros(given.shape[:-2] + (2 * n, 2 * n))
+    if isinstance(a, np.ndarray):
+        out[..., :n, :n] = a
+    if isinstance(b, np.ndarray):
+        out[..., :n, n:] = b
+    if isinstance(c, np.ndarray):
+        out[..., n:, :n] = c
+    if isinstance(d, np.ndarray):
+        out[..., n:, n:] = d
+    return out
+
+
+def lift_tensor(g: TensorField, assemble):
+    """The field assemble(g(x)) at the points (x, y) of M x R^n, for a linear
+    `assemble` such as a `blocks` layout: its derivative is
+    assemble(g.derivative(x)) on the base rows and zero on the fiber rows."""
+    n = g.dim
+
+    def derivative(p):
+        D = assemble(g.derivative(p[:n]))
+        return np.concatenate([D, np.zeros_like(D)])
+
+    return TensorField(2 * n, lambda p: assemble(g(p[:n])), derivative)
+
+
 def standard_symplectic(m):
     """[[0, -Id], [Id, 0]]: the matrix of Omega = du^i ^ dv_i, and equally the
     complex structure J(d/dx^i) = d/dy^i on a flat tangent bundle."""
-    Om = np.zeros((2 * m, 2 * m))
-    Om[:m, m:] = -np.eye(m)
-    Om[m:, :m] = np.eye(m)
-    return Om
+    return blocks(0, -np.eye(m), np.eye(m), 0)
 
 
 def bundle_sample_points(base, count, salt, fiber_salt):
@@ -248,22 +279,16 @@ def lift_automorphisms(autos, fiber_linear, shifts=()):
     lifted = []
     for k, T in enumerate(autos):
         n = T.A.shape[0]
-        P = np.zeros((2 * n, 2 * n))
-        P[:n, :n] = T.A
-        P[n:, n:] = fiber_linear(T.A)
         shift = shifts[k % len(shifts)] if len(shifts) else np.zeros(n)
         b = np.concatenate([T.b, np.asarray(shift, dtype=float)])
-        lifted.append(AffineAutomorphism(P, b))
+        lifted.append(AffineAutomorphism(blocks(T.A, 0, 0, fiber_linear(T.A)), b))
     return lifted
 
 
 def lift_field(xi: VectorFieldSpec, fiber_linear, fiber_shift):
     """The field (A x + b, F y + c) on a bundle with flat fibers, for the
     base field xi = A x + b and the fiber part F y + c."""
-    n = xi.A.shape[0]
-    X = np.zeros((2 * n, 2 * n))
-    X[:n, :n] = xi.A
-    X[n:, n:] = fiber_linear
+    X = blocks(xi.A, 0, 0, np.asarray(fiber_linear, dtype=float))
     return VectorFieldSpec(X, np.concatenate([xi.b, np.asarray(fiber_shift, dtype=float)]))
 
 

@@ -321,6 +321,7 @@ def test_suite_table_covers_the_suite_names():
 
 FLAT_PREPOTENTIAL = {"m": 1, "F": "i*z1^2/2", "box": [[-1.0, 1.0], [-1.0, 1.0]]}
 CHECK_CFG = ["check", "cfg.json"]
+CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--json", "--tol"]
 
 
 @pytest.mark.parametrize(
@@ -336,11 +337,16 @@ CHECK_CFG = ["check", "cfg.json"]
         ({**FLAT_PREPOTENTIAL, "samples": "x"}, CHECK_CFG, "samples must be an integer"),
         ({**FLAT_PREPOTENTIAL, "samples": 0}, CHECK_CFG, "samples must be at least 1"),
         ({**FLAT_PREPOTENTIAL, "samples": -3}, CHECK_CFG, "samples must be at least 1"),
+        *(
+            (None, CHECK_TOL + [f"hessian_symmetry={value}"], "must be finite and positive")
+            for value in ("nan", "inf", "-1", "0")
+        ),
     ],
     ids=[
         "not-json", "not-an-object", "negative-seed", "eval-negative-seed",
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
+        "tol-nan", "tol-inf", "tol-negative", "tol-zero",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):

@@ -57,7 +57,9 @@ def test_newton_round_trip():
     for z in prep.sample_z(10, rng):
         jets = prep.jets(z)
         q = np.concatenate([z.real, jets.gradient.real])
-        assert _newton_invert(prep, q) == pytest.approx(z, abs=1e-11)
+        root, jets_at_root = _newton_invert(prep, q)
+        assert root == pytest.approx(z, abs=1e-11)
+        assert jets_at_root.hessian == pytest.approx(prep.jets(root).hessian)
 
 
 def test_cubic_metric_oracle():
@@ -65,7 +67,7 @@ def test_cubic_metric_oracle():
     # q = (Re z, Re F') is (T^-1)^T diag(N, N) T^-1 with T = [[1, 0], [0, -1]]
     prep = cubic_prepotential()
     z = np.array([1j])
-    g, I, dg, dI = _tensors_at_z(prep, z)
+    g, I, dg, dI = _tensors_at_z(prep, z, prep.jets(z))
     assert g == pytest.approx(np.eye(2))
     assert I @ I == pytest.approx(-np.eye(2))
     assert I.T @ g @ I == pytest.approx(g)
@@ -75,13 +77,13 @@ def test_analytic_derivatives_match_fd():
     prep = conic_prepotential()
     z = np.array([1.02 + 0.01j, 0.97 - 0.02j])
     q = np.concatenate([z.real, prep.jets(z).gradient.real])
-    g, I, dg, dI = _tensors_at_z(prep, z)
+    g, I, dg, dI = _tensors_at_z(prep, z, prep.jets(z))
 
     def g_of(qq):
-        return _tensors_at_z(prep, _newton_invert(prep, qq))[0]
+        return _tensors_at_z(prep, *_newton_invert(prep, qq))[0]
 
     def I_of(qq):
-        return _tensors_at_z(prep, _newton_invert(prep, qq))[1]
+        return _tensors_at_z(prep, *_newton_invert(prep, qq))[1]
 
     assert dg == pytest.approx(fd_tensor_derivative(g_of, q), abs=1e-6)
     assert dI == pytest.approx(fd_tensor_derivative(I_of, q), abs=1e-6)

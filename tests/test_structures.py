@@ -57,6 +57,15 @@ def test_domain_rejection_failure():
         d.sample(5, np.random.default_rng(0), max_tries=200)
 
 
+def test_domain_sampling_caps_misses_in_a_row_not_draws():
+    # the box lies inside the domain: more points than max_tries draws, and the
+    # same draws as a shorter run
+    d = orthant_domain()
+    many = d.sample(10_001, np.random.default_rng([42, 0]))
+    assert many.shape == (10_001, 2)
+    assert np.array_equal(many[:100], d.sample(100, np.random.default_rng([42, 0])))
+
+
 def test_validate_positive_definite():
     s = conical_structure()
     assert s.validate() is s

@@ -17,12 +17,14 @@ from hessgeo.tensors import (
     Residual,
     TensorField,
     VectorFieldSpec,
+    blocks,
     exterior_derivative_2form,
     finite_differences,
     invariance_defect,
     is_positive_definite,
     lie_derivative_endomorphism,
     lie_derivative_metric,
+    lift_tensor,
     nijenhuis,
     pullback_defect,
     pullback_metric,
@@ -61,6 +63,55 @@ def test_potential_field_makes_one_jet_per_point(monkeypatch):
         g(p)
         g.derivative(p)
     assert len(calls) == len(set(calls)) == 2
+
+
+def test_component_field_makes_one_jet_per_component_per_point(monkeypatch):
+    rows = (("1", "x1*x2"), ("x1*x2", "1+x1^2"))
+    g = TensorField.from_components([[parse_expression(t, VARS) for t in row] for row in rows])
+    calls = []
+    jet3 = ScalarExpression.jet3
+
+    def counted(expr, p):
+        calls.append(np.asarray(p).tobytes())
+        return jet3(expr, p)
+
+    def plain(expr, p):
+        raise AssertionError("plain evaluation")
+
+    monkeypatch.setattr(ScalarExpression, "jet3", counted)
+    monkeypatch.setattr(ScalarExpression, "__call__", plain)
+    p = np.array([0.8, 1.4])
+    for _ in range(3):
+        assert g(p) == pytest.approx(np.array([[1.0, 1.12], [1.12, 1.64]]))
+        assert g.derivative(p)[:, 1, 1] == pytest.approx([1.6, 0.0])
+    assert len(calls) == 4 and len(set(calls)) == 1
+
+
+def test_blocks_equal_np_block_with_zero_blocks_given_as_0():
+    rng = np.random.default_rng(0)
+    for shape in ((3, 3), (4, 3, 3)):
+        a, b, c, d = (rng.standard_normal(shape) for _ in range(4))
+        zero = np.zeros(shape)
+        for given in ((a, b, c, d), (a, 0, 0, d), (0, b, c, 0), (0, 0, c, 0), (0, 0, 0, d)):
+            full = [x if isinstance(x, np.ndarray) else zero for x in given]
+            assert np.array_equal(blocks(*given), np.block([full[:2], full[2:]]))
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [lambda G: blocks(G, 0, 0, G), lambda G: blocks(0, G, -G.swapaxes(-1, -2), 0)],
+    ids=["diag", "omega"],
+)
+def test_lift_tensor_is_constant_along_the_fiber(assemble):
+    lifted = lift_tensor(metric_from("1/(x1*x2)+x1^4"), assemble)
+    x = np.array([0.8, 1.4])
+    p = np.concatenate([x, [0.3, -0.5]])
+    assert np.array_equal(lifted(p), lifted(np.concatenate([x, [-1.2, 2.0]])))
+    D = lifted.derivative(p)
+    assert D.shape == (4, 4, 4) and not np.any(D[2:])
+    with finite_differences():
+        fd = lifted.derivative(p)
+    assert fd == pytest.approx(D, abs=1e-8)
 
 
 def test_metric_derivative_fd_agrees():
