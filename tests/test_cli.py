@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden import regen as golden
 
 from hessgeo import cmap, structures
 from hessgeo.cli import (
@@ -274,7 +276,32 @@ def test_fd_check_covers_special_kahler_suites(capsys):
     ],
 )
 def test_default_check_exit_codes(geometry, seed, extra, expected):
-    assert main(["check", geometry, "--seed", str(seed), *extra]) == expected
+    argv = ["check", geometry, "--seed", str(seed), *extra, "--json"]
+    record = golden.run(argv)
+    assert record["exit"] == expected
+    assert golden.compare(golden.load(argv), record) == []
+
+
+def test_golden_comparison_rule():
+    old = golden.load(["check", "noncone_counterexample", "--seed", "42", "--json"])
+
+    def changed(check_id, edit):
+        new = copy.deepcopy(old)
+        entry = next(e for e in new["output"]["entries"] if e["check_id"] == check_id)
+        entry["residual"] = edit(entry["residual"])
+        return golden.compare(old, new)
+
+    def first_digit_changed(r):
+        text = repr(r)
+        k = next(i for i, c in enumerate(text) if c in "123456789")
+        return float(text[:k] + str(int(text[k]) % 9 + 1) + text[k + 1 :])
+
+    assert golden.compare(old, copy.deepcopy(old)) == []
+    assert changed("kahler_closed", first_digit_changed)
+    assert changed("kahler_closed", lambda r: r * (1 + 1e-8))
+    # round-off, and any change far below the tolerance, match
+    assert changed("kahler_closed", lambda r: r * (1 + 1e-12)) == []
+    assert changed("hessian_positive_definite", lambda r: 1e-20) == []
 
 
 def test_special_kahler_config_rejects_misshapen_I(tmp_path, capsys):
