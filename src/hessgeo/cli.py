@@ -25,6 +25,7 @@ from .structures import (
     Domain,
     HessianStructure,
     SelfsimilarHessianStructure,
+    check_hessian,
     check_selfsimilar,
     conformal_rescaling,
     field_from_config,
@@ -39,7 +40,6 @@ from .tensors import (
     finite_differences,
     invariance_defect,
     is_positive_definite,
-    symmetry_defect,
 )
 
 PRESETS = cones_mod.PRESET_NAMES + cmap_mod.SK_PRESET_NAMES
@@ -131,30 +131,6 @@ def _special_kahler(sk):
 
 
 # -- generic suites --------------------------------------------------------
-
-
-def hessian_suite(structure: HessianStructure, samples=None) -> List[CheckResult]:
-    points = structure.sample_points(samples)
-    res_pd, res_sym = Residual(), Residual()
-    for p in points:
-        res_pd.add(-np.min(np.linalg.eigvalsh(structure.metric(p))))
-        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
-    return [
-        CheckResult(
-            "hessian_positive_definite",
-            "the metric is positive definite on the sampled domain",
-            res_pd.value,
-            1e-10,
-            len(points),
-        ),
-        CheckResult(
-            "hessian_symmetry",
-            "d_k g_ij is totally symmetric (g is locally a Hessian)",
-            res_sym.value,
-            1e-8,
-            len(points),
-        ),
-    ]
 
 
 def rmap_suite(
@@ -363,7 +339,7 @@ def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, 
 
     return Kind(
         suites={
-            "hessian": lambda obj, samples: hessian_suite(structure_of(obj), samples),
+            "hessian": lambda obj, samples: check_hessian(structure_of(obj), samples),
             "rmap": lambda obj, samples: rmap_suite(structure_of(obj), samples),
             **(suites or {}),
         },

@@ -39,8 +39,13 @@ from .errors import (
     UnknownPreset,
 )
 from .expressions import ScalarExpression, parse_expression
-from .report import CheckResult
-from .structures import Domain, SelfsimilarHessianStructure, conformal_flow_residuals
+from .report import CheckResult, require
+from .structures import (
+    Domain,
+    SelfsimilarHessianStructure,
+    conformal_rescaling,
+    norm_homothety_defect,
+)
 from .tensors import (
     AffineAutomorphism,
     Residual,
@@ -48,10 +53,9 @@ from .tensors import (
     blocks,
     bundle_sample_points,
     exterior_derivative_2form,
+    flow_defect,
     invariance_defect,
     is_positive_definite,
-    lie_derivative_endomorphism,
-    lie_derivative_metric,
     lift_automorphisms,
     lift_field,
     nijenhuis,
@@ -119,7 +123,6 @@ class SpecialKahlerStructure:
         complex_structure: TensorField,
         sampler: Callable[[int, np.random.Generator], np.ndarray],
         prepotential: Optional[Prepotential] = None,
-        potential: Optional[ScalarExpression] = None,
         seed=42,
         samples=100,
     ):
@@ -131,7 +134,6 @@ class SpecialKahlerStructure:
         self.complex_structure = complex_structure
         self._sampler = sampler
         self.prepotential = prepotential
-        self.potential = potential  # None means "implicit"
         self.seed = seed
         self.samples = samples
         self.omega_scale = None  # lambda with omega = lambda * Omega
@@ -238,19 +240,13 @@ def special_kahler_from_prepotential(
         complex_structure=TensorField.from_bundle(2 * m, tensors, 1, 3),
         sampler=sampler,
         prepotential=prep,
-        potential=None,  # implicit; certified through d(g) symmetry
         seed=seed,
         samples=samples,
     )
     for z in prep.sample_z(25, structure.rng(7)):
         if not is_positive_definite(prep.jets(z).hessian.imag):
             raise NotPositiveDefinite(z, "Im F'' not positive definite")
-    for entry in check_special_kahler_axioms(structure, samples=25):
-        if not entry.passed:
-            raise ConfigError(
-                f"prepotential structure fails {entry.check_id}: "
-                f"residual {entry.residual:.2e}"
-            )
+    require("prepotential structure", check_special_kahler_axioms(structure, samples=25))
     return structure
 
 
@@ -282,7 +278,6 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
         metric=TensorField.from_potential(potential),
         complex_structure=I,
         sampler=lambda count, rng: domain.sample(count, rng),
-        potential=potential,
         seed=int(config.get("seed", 42)),
         samples=int(config.get("samples", 100)),
     )
@@ -553,52 +548,42 @@ def check_conformal_hyperkahler(ss: SelfsimilarHessianStructure, samples=None) -
     qs = sk.sample_points(samples)
     pts = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    res_base_g, res_base_I = Residual(), Residual()
-    for q in qs:
-        L = lie_derivative_metric(sk.metric, ss.xi, q)
-        res_base_g.add_max_abs(L - 2.0 * sk.metric(q))
-        res_base_I.add_max_abs(
-            lie_derivative_endomorphism(sk.complex_structure, ss.xi, q)
-        )
-    res_norm, res_chk, res_control = conformal_flow_residuals(ss, X, gc_field, pts)
-    res_ik = Residual()
-    for pt in pts:
-        for Ik in I_fields:
-            res_ik.add_max_abs(lie_derivative_endomorphism(Ik, X, pt))
+    base_g = flow_defect(ss.xi, qs, (sk.metric,), factor=2.0)
+    base_I = flow_defect(ss.xi, qs, endomorphisms=(sk.complex_structure,))
     count = len(pts)
     tolerance = 1e-5
     return [
         CheckResult(
-            "chk_base_homothety", "L_xi g = 2 g on the base", res_base_g.value, tolerance, len(qs)
+            "chk_base_homothety", "L_xi g = 2 g on the base", base_g, tolerance, len(qs)
         ),
         CheckResult(
-            "chk_base_holomorphic", "L_xi I = 0 on the base", res_base_I.value, tolerance, len(qs)
+            "chk_base_holomorphic", "L_xi I = 0 on the base", base_I, tolerance, len(qs)
         ),
         CheckResult(
             "chk_norm_homothety",
             "L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            res_norm,
+            norm_homothety_defect(ss, pts),
             tolerance,
             count,
         ),
         CheckResult(
             "chk_metric_flow",
             "L_{xi1+xi2} g_chK = 0 for g_chK = g(xi,xi)^{-1} g_c",
-            res_chk,
+            flow_defect(X, pts, (conformal_rescaling(ss, gc_field),)),
             tolerance,
             count,
         ),
         CheckResult(
             "chk_complex_structures_flow",
             "L_{xi1+xi2} I_k = 0 for k = 1, 2, 3",
-            res_ik.value,
+            flow_defect(X, pts, endomorphisms=I_fields),
             tolerance,
             count,
         ),
         CheckResult(
             "chk_unscaled_negative_control",
             "without the conformal factor L_{xi1+xi2} g_c = 2 g_c exactly",
-            res_control,
+            flow_defect(X, pts, (gc_field,), factor=2.0),
             tolerance,
             count,
         ),

@@ -22,10 +22,9 @@ from .report import CheckResult
 from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
 from .tensors import (
     AffineAutomorphism,
-    Residual,
     VectorFieldSpec,
+    flow_defect,
     invariance_defect,
-    lie_derivative_metric,
 )
 
 __all__ = ["ConePreset", "preset", "PRESET_NAMES", "dilation_law", "radiant_law",
@@ -227,15 +226,13 @@ def dilation_law(cone: ConePreset, q, samples=50):
 
 def radiant_law(cone: ConePreset, samples=50):
     """Max of ||L_rho g_con + n g_con||_inf over samples."""
-    metric = cone.con.metric
-    residual = Residual()
-    for p in cone.con.sample_points(samples):
-        L = lie_derivative_metric(metric, cone.rho, p)
-        residual.add_max_abs(L + cone.dim * metric(p))
+    residual = flow_defect(
+        cone.rho, cone.con.sample_points(samples), (cone.con.metric,), factor=-cone.dim
+    )
     return CheckResult(
         check_id="radiant_law",
         claim="L_rho g_con = -n g_con for the radiant field rho",
-        residual=residual.value,
+        residual=residual,
         tolerance=1e-8,
         samples=samples,
     )

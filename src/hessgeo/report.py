@@ -6,9 +6,11 @@ import json
 from dataclasses import dataclass, field
 from typing import List
 
+from .errors import ConfigError
+
 __version__ = "0.1.0"
 
-__all__ = ["CheckResult", "VerificationReport", "__version__"]
+__all__ = ["CheckResult", "VerificationReport", "require", "__version__"]
 
 
 @dataclass
@@ -44,6 +46,14 @@ class CheckResult:
             "status": self.status,
             "pass": self.passed,
         }
+
+
+def require(what, entries):
+    """Raises `ConfigError` at the first failed entry: how a structure
+    validates, by running its own checks."""
+    for entry in entries:
+        if not entry.passed:
+            raise ConfigError(f"{what} fails {entry.check_id}: residual {entry.residual:.2e}")
 
 
 @dataclass

@@ -19,8 +19,8 @@ from .report import CheckResult
 from .structures import (
     HessianStructure,
     SelfsimilarHessianStructure,
-    conformal_flow_residuals,
     conformal_rescaling,
+    norm_homothety_defect,
 )
 from .tensors import (
     AffineAutomorphism,
@@ -30,8 +30,8 @@ from .tensors import (
     blocks,
     bundle_sample_points,
     exterior_derivative_2form,
+    flow_defect,
     invariance_defect,
-    lie_derivative_metric,
     lift_automorphisms,
     lift_field,
     lift_tensor,
@@ -155,17 +155,14 @@ def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None):
     lift = build_kahler_lift(ss.base)
     pg = lift_tensor(ss.metric, lambda G: blocks(G, 0, 0, 0))  # pi^* g
     points = lift.sample_points(samples)
-    J = lift.J
     xi1 = lift_field(ss.xi, np.zeros((n, n)), np.zeros(n))
     xi2 = lift_field(VectorFieldSpec.from_affine(np.zeros((n, n))), ss.xi.A, ss.xi.b)
-    A_total = lift_field(ss.xi, ss.xi.A, ss.xi.b).A
-    residual = Residual()
-    for p in points:
-        L1 = lie_derivative_metric(pg, xi1, p)
-        L2 = lie_derivative_metric(pg, xi2, p)
-        residual.add_max_abs(L1 - 2.0 * pg(p), L2)
-    # constant J: L_{xi1+xi2} J = [J, A1 + A2]
-    residual.add_max_abs(J @ A_total - A_total @ J)
+    X = lift_field(ss.xi, ss.xi.A, ss.xi.b)  # xi1 + xi2
+    residual = Residual().add(
+        flow_defect(xi1, points, (pg,), factor=2.0),
+        flow_defect(xi2, points, (pg,)),
+        flow_defect(X, points, endomorphisms=(TensorField.constant(lift.J),)),
+    )
     return CheckResult(
         check_id="lifted_field_lemma",
         claim="L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0",
@@ -185,28 +182,27 @@ def check_conformal_invariance(
     psi-invariance of w_cK, and the unscaled negative control L w = 2 w."""
     lift = build_kahler_lift(ss.base)
     points = lift.sample_points(samples)
-    res_norm, res_wck, res_control = conformal_flow_residuals(
-        ss, lift_field(ss.xi, ss.xi.A, ss.xi.b), lift.omega, points
-    )
+    X = lift_field(ss.xi, ss.xi.A, ss.xi.b)
+    omega_ck = conformal_rescaling(ss, lift.omega)
     entries = [
         CheckResult(
             check_id="conformal_norm_homothety",
             claim="L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            residual=res_norm,
+            residual=norm_homothety_defect(ss, points),
             tolerance=1e-6,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_ck_flow",
             claim="L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
-            residual=res_wck,
+            residual=flow_defect(X, points, (omega_ck,)),
             tolerance=1e-6,
             samples=len(points),
         ),
         CheckResult(
             check_id="conformal_omega_negative_control",
             claim="without the conformal factor L_{xi1+xi2} omega = 2 omega exactly",
-            residual=res_control,
+            residual=flow_defect(X, points, (lift.omega,), factor=2.0),
             tolerance=1e-4,
             samples=len(points),
         ),
@@ -216,7 +212,7 @@ def check_conformal_invariance(
         res_inv = invariance_defect(
             lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
             points,
-            (conformal_rescaling(ss, lift.omega),),
+            (omega_ck,),
             floor=1.0,
         )
         entries.append(

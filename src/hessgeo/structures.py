@@ -21,13 +21,13 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .expressions import ScalarExpression, parse_expression
-from .report import CheckResult
+from .report import CheckResult, require
 from .tensors import (
     Residual,
     TensorField,
     VectorFieldSpec,
+    flow_defect,
     is_positive_definite,
-    lie_derivative_metric,
     symmetry_defect,
 )
 
@@ -36,11 +36,12 @@ __all__ = [
     "HessianStructure",
     "SelfsimilarHessianStructure",
     "make_hessian_structure",
+    "check_hessian",
     "check_selfsimilar",
     "norm_squared",
     "norm_gradient",
     "conformal_rescaling",
-    "conformal_flow_residuals",
+    "norm_homothety_defect",
 ]
 
 DEFAULT_SAMPLES = 100
@@ -104,10 +105,6 @@ class HessianStructure:
                 self, "metric", TensorField.from_potential(self.potential)
             )
 
-    @property
-    def variables(self):
-        return self.potential.variables
-
     def rng(self, salt=0):
         return np.random.default_rng([self.seed, salt])
 
@@ -115,24 +112,16 @@ class HessianStructure:
         return self.domain.sample(count or self.samples, self.rng(salt))
 
     def validate(self):
-        """PD of Hess(potential) and total symmetry of its derivative at samples."""
-        points = self.sample_points()
-        for p in points:
-            H = self.metric(p)
-            if not is_positive_definite(H):
-                raise NotPositiveDefinite(p, f"Hess({self.name}) not positive definite")
-            defect = symmetry_defect(self.metric.derivative(p))
-            if not defect <= 1e-8:
-                raise ConfigError(
-                    f"potential-generated metric derivative not symmetric ({defect:.2e})"
-                )
+        """Runs `check_hessian`; raises on a failed entry."""
+        require(self.name, check_hessian(self))
         return self
 
 
 @dataclass(frozen=True)
 class SelfsimilarHessianStructure:
     """A Hessian (or special Kahler) base plus an affine field xi with
-    L_xi g = 2 g, which `validate` checks at the base's samples."""
+    L_xi g = 2 g and g(xi, xi) > 0, which `validate` checks at the base's
+    samples."""
 
     base: HessianStructure
     xi: VectorFieldSpec
@@ -154,25 +143,53 @@ class SelfsimilarHessianStructure:
         return self.base.domain
 
     def validate(self):
-        for p in self.base.sample_points():
-            L = lie_derivative_metric(self.metric, self.xi, p)
-            if np.max(np.abs(L - 2.0 * self.metric(p))) > 1e-8:
-                raise ConfigError(f"L_xi g != 2 g at {p}")
-            norm_squared(self, p)  # raises NonpositiveNorm when <= 0
+        """Runs `check_selfsimilar`; raises on a failed entry."""
+        require(self.base.name, [check_selfsimilar(self.base, self.xi)])
         return self
 
 
-def check_selfsimilar(structure: HessianStructure, xi: VectorFieldSpec, samples=None):
-    """Max over samples of ||L_xi g - 2 g||_inf."""
+def check_hessian(structure: HessianStructure, samples=None):
+    """Positive definiteness of the metric and total symmetry of its
+    derivative at samples; raises `NotPositiveDefinite` at the first sample
+    where `is_positive_definite` fails."""
     points = structure.sample_points(samples)
-    residual = Residual()
+    res_pd, res_sym = Residual(), Residual()
     for p in points:
-        L = lie_derivative_metric(structure.metric, xi, p)
-        residual.add_max_abs(L - 2.0 * structure.metric(p))
+        H = structure.metric(p)
+        if not is_positive_definite(H):
+            raise NotPositiveDefinite(p, f"Hess({structure.name}) not positive definite")
+        res_pd.add(-np.min(np.linalg.eigvalsh(H)))
+        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
+    return [
+        CheckResult(
+            "hessian_positive_definite",
+            "the metric is positive definite on the sampled domain",
+            res_pd.value,
+            1e-10,
+            len(points),
+        ),
+        CheckResult(
+            "hessian_symmetry",
+            "d_k g_ij is totally symmetric (g is locally a Hessian)",
+            res_sym.value,
+            1e-8,
+            len(points),
+        ),
+    ]
+
+
+def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
+    """Max over samples of ||L_xi g - 2 g||_inf, for a Hessian or a special
+    Kahler structure; raises `NonpositiveNorm` at the first sample where
+    g(xi, xi) <= 0."""
+    points = structure.sample_points(samples)
+    ss = SelfsimilarHessianStructure(structure, xi)
+    for p in points:
+        norm_squared(ss, p)
     return CheckResult(
         check_id="selfsimilar_metric",
         claim="L_xi g = 2 g for the affine homothetic field xi",
-        residual=residual.value,
+        residual=flow_defect(xi, points, (structure.metric,), factor=2.0),
         tolerance=1e-8,
         samples=len(points),
     )
@@ -222,20 +239,14 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
     return TensorField(T.dim, func, dfunc)
 
 
-def conformal_flow_residuals(s, X, T: TensorField, points):
-    """Residuals over bundle points of the flow of the lifted field X, which
-    moves the base point along xi: (|L_X N - 2 N| for N = pi^* g(xi, xi),
-    |L_X (T / N)|, the unscaled control |L_X T - 2 T|)."""
-    n = T.dim // 2
-    rescaled = conformal_rescaling(s, T)
-    res_norm, res_flow, res_control = Residual(), Residual(), Residual()
+def norm_homothety_defect(s, points):
+    """Max over bundle points (x, y) of |L_X N - 2 N| for N = pi^* g(xi, xi)
+    and a lifted field X that moves x along xi."""
+    residual = Residual()
     for p in points:
-        x = p[:n]
-        lie_norm = float(s.xi.value(x) @ norm_gradient(s, x))
-        res_norm.add(abs(lie_norm - 2.0 * norm_squared(s, x)))
-        res_flow.add_max_abs(lie_derivative_metric(rescaled, X, p))
-        res_control.add_max_abs(lie_derivative_metric(T, X, p) - 2.0 * T(p))
-    return res_norm.value, res_flow.value, res_control.value
+        x = p[: s.dim]
+        residual.add(abs(float(s.xi.value(x) @ norm_gradient(s, x)) - 2.0 * norm_squared(s, x)))
+    return residual.value
 
 
 # -- configuration ---------------------------------------------------------

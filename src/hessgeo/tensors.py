@@ -7,8 +7,8 @@ and every field inside `finite_differences()`, differentiate by
 Richardson-extrapolated central finite differences with step
 `FD_STEP * max(1, |p|)`.  A field whose value and derivative come from the
 same per-point work reads both from one `point_bundle`, always computed exactly.
-Checks collect their residuals in a `Residual`, and measure invariance under
-affine maps with `invariance_defect`.
+Checks collect their residuals in a `Residual`, measure invariance under
+affine maps with `invariance_defect` and under a flow with `flow_defect`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "pullback_metric",
     "pullback_defect",
     "invariance_defect",
+    "flow_defect",
     "require_isometry",
     "is_positive_definite",
     "fd_gradient",
@@ -371,6 +372,19 @@ def invariance_defect(maps, points, covariant=(), endomorphisms=(), factor=1.0, 
                 residual.add(defect / max(floor, scale))
             for K in endomorphisms:
                 residual.add_max_abs(np.linalg.solve(T.A, K(image) @ T.A) - K(p))
+    return residual.value
+
+
+def flow_defect(X: VectorFieldSpec, points, covariant=(), endomorphisms=(), factor=0.0):
+    """Max over points p of |L_X S - factor S| for each covariant 2-tensor
+    field S, and of |L_X K| for each endomorphism field K: the flow
+    counterpart of `invariance_defect`, absolute."""
+    residual = Residual()
+    for p in points:
+        for S in covariant:
+            residual.add_max_abs(lie_derivative_metric(S, X, p) - factor * S(p))
+        for K in endomorphisms:
+            residual.add_max_abs(lie_derivative_endomorphism(K, X, p))
     return residual.value
 
 

@@ -12,6 +12,7 @@ from hessgeo.structures import (
     Domain,
     HessianStructure,
     SelfsimilarHessianStructure,
+    check_hessian,
     check_selfsimilar,
     make_hessian_structure,
     norm_gradient,
@@ -77,6 +78,20 @@ def test_validate_positive_definite():
     )
     with pytest.raises(NotPositiveDefinite):
         bad.validate()
+
+
+@pytest.mark.parametrize("potential", ["x1^2", "x1^2-1e-12*x2^2"])
+def test_singular_metric_cannot_pass_the_hessian_suite(potential):
+    # Hess = diag(2, 0) and diag(2, -2e-12): the suite reported them as passes
+    # (residual 0 and 2e-12 < 1e-10) while validation rejected them
+    s = HessianStructure(
+        name="singular",
+        dim=2,
+        potential=parse_expression(potential, ["x1", "x2"]),
+        domain=Domain((), np.array([[0.5, 1.5], [0.5, 1.5]])),
+    )
+    with pytest.raises(NotPositiveDefinite, match="Hess\\(singular\\) not positive definite"):
+        check_hessian(s)
 
 
 def test_selfsimilar_validation_and_norm():

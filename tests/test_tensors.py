@@ -20,6 +20,7 @@ from hessgeo.tensors import (
     blocks,
     exterior_derivative_2form,
     finite_differences,
+    flow_defect,
     invariance_defect,
     is_positive_definite,
     lie_derivative_endomorphism,
@@ -28,6 +29,7 @@ from hessgeo.tensors import (
     nijenhuis,
     pullback_defect,
     pullback_metric,
+    standard_symplectic,
 )
 
 VARS = ["x1", "x2"]
@@ -199,6 +201,22 @@ def test_lie_derivative_constant_endomorphism():
     xi = VectorFieldSpec.from_affine(A)
     L = lie_derivative_endomorphism(field, xi, np.array([0.3, 0.4]))
     assert L == pytest.approx(J @ A - A @ J)
+
+
+def test_flow_defect_is_the_max_of_the_lie_derivative_residual():
+    cone = preset("orthant2")
+    g, n = cone.con.metric, cone.dim
+    points = cone.con.sample_points(10)
+    # L_rho g_con = -n g_con, so without the factor the defect is max |n g_con|
+    assert flow_defect(cone.rho, points, (g,), factor=-n) < 1e-10
+    scale = max(np.max(np.abs(n * g(p))) for p in points)
+    assert flow_defect(cone.rho, points, (g,)) == pytest.approx(scale, rel=1e-12)
+    # a constant J under X = A x: L_X J = J A - A J, the same at every point
+    J, A = standard_symplectic(1), np.diag([1.0, 2.0])
+    defect = flow_defect(
+        VectorFieldSpec.from_affine(A), points, endomorphisms=(TensorField.constant(J),)
+    )
+    assert defect == np.max(np.abs(J @ A - A @ J)) == 1.0
 
 
 def test_exterior_derivative_oracle():
