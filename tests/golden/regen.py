@@ -99,8 +99,8 @@ def run(argv):
     """{argv, exit, output} of one in-process `hessgeo` run in this directory."""
     from hessgeo.cli import main
 
-    stdout = io.StringIO()
-    with _inside(HERE), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with _inside(HERE), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
     text = stdout.getvalue()
     return {"argv": list(argv), "exit": code, "output": json.loads(text) if text else None}
@@ -109,10 +109,6 @@ def run(argv):
 def load(argv):
     """The recorded run of `argv`."""
     return json.loads(path_of(argv).read_text())
-
-
-def dump(record):
-    return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
 def numbers_match(a, b, floor=0.0):
@@ -185,7 +181,7 @@ def main(argv=None):
         for path in stale:
             path.unlink()
         for argv in all_runs:
-            path_of(argv).write_text(dump(run(argv)))
+            path_of(argv).write_text(json.dumps(run(argv), indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(all_runs)} runs to {REPORTS}")
         return 0
     for path in stale:
