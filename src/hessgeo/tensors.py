@@ -57,9 +57,11 @@ __all__ = [
 ]
 
 FD_STEP = 1e-5
-# A default `check sk_flat` visits 442 distinct Darboux points and inverts each
-# once at this size (1,062 inversions at 32); at m = 2 that cache holds < 1 MB.
-POINT_CACHE_SIZE = 512
+# A default `check sk_flat` visits 442 distinct Darboux points, and
+# `check sk_flat --seed 4 --fd-check` 1,242, whose checks pass over the same
+# finite-difference stencils one after another: at this size it makes 1,310
+# Newton inversions (4,582 at 512).  At m = 2 the cache holds about 2 MB.
+POINT_CACHE_SIZE = 1024
 
 # on in `finite_differences()`, off in `point_bundle`; read by `TensorField.derivative` alone
 _FINITE_DIFFERENCES = ContextVar("finite_differences", default=False)
