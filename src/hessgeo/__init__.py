@@ -29,7 +29,7 @@ from .errors import (
     UnknownPreset,
 )
 from .expressions import ScalarExpression, parse_expression
-from .jets import Jet, Jet3
+from .jets import Jet
 from .report import CheckResult, VerificationReport, __version__
 from .tensors import (
     AffineAutomorphism,

@@ -17,19 +17,14 @@ right-associative.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    ArityError,
-    DomainError,
-    ExprSyntaxError,
-    Overflow,
-    UnknownIdentifier,
-)
+from .errors import ArityError, ExprSyntaxError, Overflow, UnknownIdentifier
 from .jets import Jet
 
 __all__ = ["ScalarExpression", "parse_expression"]
@@ -195,95 +190,30 @@ def _serialize(node):
     raise TypeError(node)
 
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
 def _eval(node, env, real):
+    """The tree's `Jet`: every number in it is a constant jet, so each
+    operation, on variables or on numbers alone, follows `Jet`'s rules."""
     if isinstance(node, Num):
-        if real and isinstance(node.value, complex):
-            raise DomainError("complex constant in real mode")
-        return node.value
+        return Jet(node.value, real=real)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
         return -_eval(node.arg, env, real)
     if isinstance(node, BinOp):
-        a = _eval(node.left, env, real)
-        b = _eval(node.right, env, real)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return _div(a, b)
-        if node.op == "^":
-            return _pow(a, b, real)
-        raise TypeError(node.op)
-    if isinstance(node, Call):
-        args = [_eval(a, env, real) for a in node.args]
-        if node.name == "pow":
-            return _pow(args[0], args[1], real)
-        return _apply(node.name, args[0], real)
-    raise TypeError(node)
-
-
-def _div(a, b):
-    if isinstance(b, Jet):
-        return a / b
-    if b == 0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _pow(base, exponent, real):
-    # exponent must reduce to a constant for the AD domain guards to apply
-    if isinstance(exponent, Jet):
-        if np.any(exponent.g != 0) or np.any(exponent.h != 0):
-            return base ** exponent
-        exponent = exponent.f
-    if isinstance(base, Jet):
-        return base.powc(exponent)
-    e = exponent
-    is_int = isinstance(e, (int, np.integer)) or (
-        isinstance(e, float) and e.is_integer()
-    ) or (isinstance(e, complex) and e.imag == 0 and e.real.is_integer())
-    if isinstance(e, complex):
-        e = e.real if e.imag == 0 else e
-    if is_int:
-        if base == 0 and e < 0:
-            raise DomainError("zero base with negative exponent")
-        return base ** int(e.real if isinstance(e, complex) else e)
-    if real:
-        if not base > 0:
-            raise DomainError(f"nonpositive base {base} with non-integer exponent")
-    elif base == 0:
-        raise DomainError("zero base with non-integer exponent")
-    return base ** e
-
-
-def _apply(name, x, real):
-    if isinstance(x, Jet):
-        if name == "ln":
-            return x.ln()
-        if name == "exp":
-            return x.exp()
-        return x.sqrt()
-    if name == "ln":
-        if real:
-            if not x > 0:
-                raise DomainError(f"ln of nonpositive argument {x}")
-        elif x == 0:
-            raise DomainError("ln of zero")
-        return np.log(x)
-    if name == "exp":
-        return np.exp(x)
-    if name == "sqrt":
-        if real:
-            if not x > 0:
-                raise DomainError(f"sqrt of nonpositive argument {x}")
-        elif x == 0:
-            raise DomainError("sqrt of zero")
-        return np.sqrt(x)
-    raise TypeError(name)
+        return _BINARY[node.op](_eval(node.left, env, real), _eval(node.right, env, real))
+    args = [_eval(a, env, real) for a in node.args]
+    if node.name == "pow":
+        return args[0] ** args[1]
+    return getattr(args[0], node.name)()  # ln, exp or sqrt
 
 
 @dataclass(frozen=True)
@@ -302,27 +232,35 @@ class ScalarExpression:
         return _serialize(self.ast)
 
     def __call__(self, point):
-        """Plain (derivative-free) evaluation at a point."""
-        point = np.asarray(point)
-        env = {name: point[k] for k, name in enumerate(self.variables)}
-        value = _eval(self.ast, env, self.real)
-        if not np.isfinite(value):
-            raise Overflow(f"non-finite value {value}")
-        if self.real:
-            return float(value)
-        return complex(value)
+        """Plain evaluation at a point: a value-only pass."""
+        value = self._evaluate(point, derivatives=False).value
+        return float(value) if self.real else complex(value)
 
     def jet3(self, point):
+        """The `Jet` at a point: value, gradient, Hessian and third derivatives."""
+        jet = self._evaluate(point, derivatives=True)
+        if jet.gradient is None:  # a constant expression
+            jet = Jet.constant(jet.value, len(self.variables), self.real)
+        return jet
+
+    def _evaluate(self, point, derivatives):
+        """One pass over the tree, whose variables carry derivative arrays
+        only with `derivatives`; a float range error is an `Overflow`."""
         point = np.asarray(point)
         n = len(self.variables)
+        scalar = float if self.real else complex
         env = {
-            name: Jet.variable(point[k], k, n, real=self.real)
+            name: Jet.variable(point[k], k, n, self.real)
+            if derivatives
+            else Jet(scalar(point[k]), real=self.real)
             for k, name in enumerate(self.variables)
         }
-        out = _eval(self.ast, env, self.real)
-        if not isinstance(out, Jet):
-            out = Jet.constant(out, n, real=self.real)
-        return out.as_jet3()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                jet = _eval(self.ast, env, self.real)
+        except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
+            raise Overflow(f"non-finite value: {exc}") from None
+        return jet.finite()
 
 
 def parse_expression(text, variables, mode="real"):

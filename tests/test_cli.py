@@ -142,6 +142,17 @@ def test_config_file_geometry(tmp_path):
     assert "conformal_omega_ck_flow" in ids
 
 
+def test_config_with_a_number_to_a_variable_power(tmp_path):
+    # 2^x1 is exp(x1 ln 2) in the jets
+    path = tmp_path / "geom.json"
+    path.write_text(
+        json.dumps(
+            {"dim": 2, "potential": "2^x1+x2^2", "domain": ["x1", "x2"], "box": [[0.5, 2], [0.5, 2]]}
+        )
+    )
+    assert main(["check", str(path)]) == 0
+
+
 def test_config_with_non_homothetic_field_rejected(tmp_path, capsys):
     path = tmp_path / "geom.json"
     field = {"field_affine": {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}}
@@ -363,12 +374,15 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
             (None, CHECK_TOL + [f"hessian_symmetry={value}"], "must be finite and positive")
             for value in ("nan", "inf", "-1", "0")
         ),
+        # inside the domain, but 2/x^3 and x^2 leave the float range
+        (None, ["eval", "orthant2", "g", "--at=1e-120,1"], "non-finite value"),
+        (None, ["eval", "orthant2", "g", "--at=1e300,1"], "non-finite value"),
     ],
     ids=[
         "not-json", "not-an-object", "negative-seed", "eval-negative-seed",
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
-        "tol-nan", "tol-inf", "tol-negative", "tol-zero",
+        "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):

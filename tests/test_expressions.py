@@ -5,6 +5,7 @@ from hessgeo.errors import (
     ArityError,
     DomainError,
     ExprSyntaxError,
+    HessgeoError,
     UnknownIdentifier,
 )
 from hessgeo.expressions import parse_expression
@@ -135,3 +136,44 @@ def test_jet_matches_fd_for_transcendental():
     p = np.array([0.8, 1.3])
     jet = e.jet3(p)
     assert jet.gradient == pytest.approx(fd_gradient(e, p), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("1/x1", 0.0),
+        ("ln(x1)", -1.0),
+        ("sqrt(x1)", -1.0),
+        ("x1^0.5", -4.0),
+        ("x1^(-1)", 0.0),
+        ("pow(x1, -2)", 0.0),
+        ("(0-8)^(1/3)", 1.0),
+        ("exp(exp(x1))", 800.0),
+    ],
+)
+def test_plain_evaluation_and_jets_raise_alike(text, x):
+    # one set of domain rules: the value-only pass raises what the full pass does
+    e = parse_expression(text, ["x1"])
+    with pytest.raises(HessgeoError) as plain:
+        e([x])
+    with pytest.raises(HessgeoError) as jet:
+        e.jet3([x])
+    assert type(plain.value) is type(jet.value)
+    assert str(plain.value) == str(jet.value)
+
+
+@pytest.mark.parametrize("text", ["2^x1", "pow(2, x1)"])
+def test_number_to_a_variable_power(text):
+    e = parse_expression(text, ["x1"])
+    x = 1.3
+    jet = e.jet3([x])
+    derivatives = [jet.value, jet.gradient[0], jet.hessian[0, 0], jet.third[0, 0, 0]]
+    assert derivatives == pytest.approx([np.log(2.0) ** k * 2.0**x for k in range(4)], rel=1e-14)
+    assert e([x]) == pytest.approx(2.0**x, rel=1e-15)
+
+
+def test_plain_evaluation_computes_no_derivative_coefficients():
+    # the jets' coefficients 2/x^3 and x^-2 would leave the float range here
+    assert parse_expression("1/x1", ["x1"])([1e-200]) == pytest.approx(1e200, rel=1e-15)
+    e = parse_expression("ln(x1)^2.5", ["x1"])
+    assert e([1e300]) == pytest.approx(np.log(1e300) ** 2.5, rel=1e-15)
