@@ -80,17 +80,20 @@ def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
 
 
 def check_kahler(lift: KahlerLift, samples=None):
-    """Closedness of w (and exact Hermitian block identity of g_r)."""
+    """Closedness of w, and the identities tying w, J and g_r together."""
     points = lift.sample_points(samples)
+    J = lift.J
     residual = Residual()
+    residual.add_max_abs(J @ J + np.eye(lift.dim))
     for p in points:
         G = lift.metric(p)
         residual.add_max_abs(
-            exterior_derivative_2form(lift.omega, p), lift.J.T @ G @ lift.J - G
+            exterior_derivative_2form(lift.omega, p), J.T @ G @ J - G, lift.omega(p) - J.T @ G
         )
     return CheckResult(
         check_id="kahler_closed",
-        claim="d(omega) = 0 and g_r(J., J.) = g_r for the lifted structure",
+        claim="d(omega) = 0, J^2 = -Id, g_r(J., J.) = g_r and omega = g_r(J., .) "
+        "for the lifted structure",
         residual=residual.value,
         tolerance=1e-5,
         samples=len(points),

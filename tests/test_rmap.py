@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from flows import affine_flow
@@ -14,6 +16,7 @@ from hessgeo.rmap import (
 )
 from hessgeo.tensors import (
     AffineAutomorphism,
+    TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     finite_differences,
@@ -52,6 +55,20 @@ def test_kahler_closed(orthant_lift):
     entry = check_kahler(orthant_lift, samples=20)
     assert entry.passed
     assert entry.residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        pytest.param({"omega": TensorField.constant(np.zeros((4, 4)))}, id="omega-zero"),
+        pytest.param({"J": np.eye(4)}, id="J-identity"),
+    ],
+)
+def test_kahler_check_ties_omega_to_J_and_the_metric(orthant_lift, mutation):
+    # a closed omega and a J preserving g_r are not enough: omega = 0 and
+    # J = Id pass both, and fail omega = g_r(J., .) and J^2 = -Id
+    entry = check_kahler(dataclasses.replace(orthant_lift, **mutation), samples=5)
+    assert not entry.passed
 
 
 def test_potential_identity(orthant_lift):
