@@ -265,29 +265,11 @@ def cone_conformal_suite(cone: cones_mod.ConePreset, samples=None) -> List[Check
 def cmap_suite(sk, samples=None) -> List[CheckResult]:
     entries = cmap_mod.check_special_kahler_axioms(sk, samples)
     entries.extend(cmap_mod.check_hyperkahler(sk, samples))
-    autos, shifts = _sk_automorphisms(sk)
-    entries.append(cmap_mod.check_invariance_psi_hat(sk, autos, shifts, samples))
+    if sk.isometries:
+        rng = np.random.default_rng([sk.seed, 29])
+        shifts = [rng.uniform(-1.0, 1.0, sk.dim) for _ in range(3)]
+        entries.append(cmap_mod.check_invariance_psi_hat(sk, sk.isometries, shifts, samples))
     return entries
-
-
-def _sk_automorphisms(sk):
-    """Holomorphic isometries with fiber shifts: the rotations the structure
-    states, generated by its constant I, or else the identity."""
-    rng = np.random.default_rng([sk.seed, 29])
-    shifts = [rng.uniform(-1.0, 1.0, sk.dim) for _ in range(3)]
-    if sk.rotations:
-        I = sk.complex_structure(sk.sample_points(1, salt=9)[0])
-        autos = [
-            cmap_mod.AffineAutomorphism.linear(
-                np.cos(t) * np.eye(sk.dim) + np.sin(t) * I
-            )
-            for t in sk.rotations
-        ]
-    else:
-        autos = [
-            cmap_mod.AffineAutomorphism.linear(np.eye(sk.dim)) for _ in range(3)
-        ]
-    return autos, shifts
 
 
 def _euler_selfsimilar(sk):

@@ -137,9 +137,9 @@ class SpecialKahlerStructure:
         self.seed = seed
         self.samples = samples
         self.omega_scale = None  # lambda with omega = lambda * Omega
-        # angles t of the holomorphic isometries cos t + sin t I, set by a
-        # preset whose I is constant
-        self.rotations = ()
+        # holomorphic isometries B q + c (`AffineAutomorphism`s) that a
+        # preset states; a structure without them has no psi-hat check
+        self.isometries = ()
 
     def rng(self, salt=0):
         return np.random.default_rng([self.seed, salt])
@@ -338,7 +338,23 @@ def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
     config["samples"] = samples
     structure = prepotential_from_config(config)
     if name == "sk_flat":
-        structure.rotations = (0.3, -1.1, 2.0)
+        # the rotations cos t + sin t I of the constant I
+        I = structure.complex_structure(structure.sample_points(1, salt=9)[0])
+        structure.isometries = tuple(
+            AffineAutomorphism.linear(np.cos(t) * np.eye(2) + np.sin(t) * I)
+            for t in (0.3, -1.1, 2.0)
+        )
+    elif name == "sk_cubic":
+        # z -> z + a: (u, v) -> (u + a, v + a u + a^2/2) in Darboux coordinates
+        structure.isometries = tuple(
+            AffineAutomorphism(np.array([[1.0, 0.0], [a, 1.0]]), np.array([a, a * a / 2]))
+            for a in (0.1, -0.2, 0.05)
+        )
+    else:
+        structure.isometries = tuple(
+            AffineAutomorphism.linear(np.diag([mu**3, mu, mu**-3, mu**-1]))
+            for mu in (1.02, 0.98, 1.01)
+        )
     return structure
 
 

@@ -505,8 +505,9 @@ def test_special_kahler_check_assembles_one_frame_per_point(monkeypatch):
 
     monkeypatch.setattr(cmap, "build_hyperkahler", counted)
     run_check("sk_conic", ["all"], None, 42)
-    # 400 assemblies when each check and the rescaled metric had their own frame
-    assert len(calls) == len(set(calls)) == 100
+    # 100 samples and their images under the 3 stated isometries, each
+    # assembled once for every check and the rescaled metric
+    assert len(calls) == len(set(calls)) == 400
 
 
 def test_field_config_validates_selfsimilar_once(tmp_path, monkeypatch):

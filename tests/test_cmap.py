@@ -32,6 +32,7 @@ from hessgeo.tensors import (
     fd_tensor_derivative,
     finite_differences,
     lift_automorphisms,
+    require_isometry,
 )
 
 
@@ -143,6 +144,21 @@ def test_psi_hat_invariance_flat_rotations():
     ]
     entry = check_invariance_psi_hat(sk, autos, samples=10)
     assert entry.passed
+
+
+@pytest.mark.parametrize("name", ["sk_flat", "sk_cubic", "sk_conic"])
+def test_preset_isometries_preserve_the_metric_and_I(name):
+    sk = special_kahler_preset(name, samples=5)
+    assert len(sk.isometries) == 3
+    require_isometry(sk, sk.isometries, (sk.complex_structure,))
+
+
+def test_sk_cubic_rejects_a_wrong_translation():
+    # z -> z + 0.1 is (u, v) -> (u + 0.1, v + 0.1 u + 0.005): the constant matters
+    sk = special_kahler_preset("sk_cubic", samples=5)
+    wrong = AffineAutomorphism(np.array([[1.0, 0.0], [0.1, 1.0]]), np.array([0.1, 0.0]))
+    with pytest.raises(NotAnIsometry):
+        require_isometry(sk, [wrong], (sk.complex_structure,))
 
 
 def test_psi_hat_rejects_non_isometry():
