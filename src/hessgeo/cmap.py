@@ -351,6 +351,7 @@ def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
             for a in (0.1, -0.2, 0.05)
         )
     else:
+        # (z1, z2) -> (mu^3 z1, mu z2), which preserves F = i z2^3/z1
         structure.isometries = tuple(
             AffineAutomorphism.linear(np.diag([mu**3, mu, mu**-3, mu**-1]))
             for mu in (1.02, 0.98, 1.01)

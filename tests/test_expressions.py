@@ -9,6 +9,7 @@ from hessgeo.errors import (
     UnknownIdentifier,
 )
 from hessgeo.expressions import parse_expression
+from hessgeo.jets import Jet
 from hessgeo.tensors import fd_gradient, fd_tensor_derivative
 
 
@@ -170,6 +171,9 @@ def test_number_to_a_variable_power(text):
     derivatives = [jet.value, jet.gradient[0], jet.hessian[0, 0], jet.third[0, 0, 0]]
     assert derivatives == pytest.approx([np.log(2.0) ** k * 2.0**x for k in range(4)], rel=1e-14)
     assert e([x]) == pytest.approx(2.0**x, rel=1e-15)
+    # a number to the power of a jet, outside any expression
+    outside = 2.0 ** Jet.variable(x, 0, 1)
+    assert outside.third[0, 0, 0] == pytest.approx(jet.third[0, 0, 0], rel=1e-15)
 
 
 def test_plain_evaluation_computes_no_derivative_coefficients():
