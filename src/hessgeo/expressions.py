@@ -24,7 +24,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import ArityError, ExprSyntaxError, Overflow, UnknownIdentifier
+from .errors import ArityError, DomainError, ExprSyntaxError, Overflow, UnknownIdentifier
 from .jets import Jet
 
 __all__ = ["ScalarExpression", "parse_expression"]
@@ -195,8 +195,16 @@ _BINARY = {
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "^": operator.pow,
 }
+
+
+def _holds_variable(node):
+    if isinstance(node, (Num, Var)):
+        return isinstance(node, Var)
+    if isinstance(node, Neg):
+        return _holds_variable(node.arg)
+    children = node.args if isinstance(node, Call) else (node.left, node.right)
+    return any(map(_holds_variable, children))
 
 
 def _eval(node, env, real):
@@ -209,11 +217,17 @@ def _eval(node, env, real):
     if isinstance(node, Neg):
         return -_eval(node.arg, env, real)
     if isinstance(node, BinOp):
-        return _BINARY[node.op](_eval(node.left, env, real), _eval(node.right, env, real))
-    args = [_eval(a, env, real) for a in node.args]
-    if node.name == "pow":
-        return args[0] ** args[1]
-    return getattr(args[0], node.name)()  # ln, exp or sqrt
+        a, b = _eval(node.left, env, real), _eval(node.right, env, real)
+        if node.op != "^":
+            return _BINARY[node.op](a, b)
+        exponent = node.right
+    elif node.name == "pow":
+        (a, b), exponent = [_eval(arg, env, real) for arg in node.args], node.args[1]
+    else:
+        return getattr(_eval(node.args[0], env, real), node.name)()  # ln, exp or sqrt
+    # exp(b ln a) when the exponent's subtree holds a variable, in both passes
+    # and at every point alike; otherwise a power with the exponent's number
+    return a ** (b if _holds_variable(exponent) else b.value)
 
 
 @dataclass(frozen=True)
@@ -232,35 +246,39 @@ class ScalarExpression:
         return _serialize(self.ast)
 
     def __call__(self, point):
-        """Plain evaluation at a point: a value-only pass."""
+        """Plain evaluation, a value-only pass: a number, or an array (...)."""
         value = self._evaluate(point, derivatives=False).value
+        if isinstance(value, np.ndarray):
+            return value
         return float(value) if self.real else complex(value)
 
     def jet3(self, point):
-        """The `Jet` at a point: value, gradient, Hessian and third derivatives."""
-        jet = self._evaluate(point, derivatives=True)
-        if jet.gradient is None:  # a constant expression
-            jet = Jet.constant(jet.value, len(self.variables), self.real)
-        return jet
+        """The `Jet`: value, gradient, Hessian and third derivatives."""
+        return self._evaluate(point, derivatives=True)
 
     def _evaluate(self, point, derivatives):
-        """One pass over the tree, whose variables carry derivative arrays
-        only with `derivatives`; a float range error is an `Overflow`."""
-        point = np.asarray(point)
-        n = len(self.variables)
-        scalar = float if self.real else complex
-        env = {
-            name: Jet.variable(point[k], k, n, self.real)
-            if derivatives
-            else Jet(scalar(point[k]), real=self.real)
-            for k, name in enumerate(self.variables)
-        }
+        """One pass at a point (n,) or at all points (..., n), whose variables
+        carry derivative arrays only with `derivatives`; a float range error is
+        an `Overflow`, an error in a batch the one its first failing point raises."""
+        point = np.asarray(point, dtype=float if self.real else complex)
+        n, batch = len(self.variables), point.shape[:-1]
+        env = {}
+        for k, name in enumerate(self.variables):
+            x = point[..., k] if batch else float(point[k]) if self.real else complex(point[k])
+            env[name] = Jet.variable(x, k, n, self.real) if derivatives else Jet(x, real=self.real)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                jet = _eval(self.ast, env, self.real)
-        except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
-            raise Overflow(f"non-finite value: {exc}") from None
-        return jet.finite()
+                jet = _eval(self.ast, env, self.real).finite()
+        except (ArithmeticError, DomainError, Overflow) as exc:
+            for row in point if batch else ():
+                self._evaluate(row, derivatives)
+            if isinstance(exc, ArithmeticError):  # Python's or numpy's float range error
+                raise Overflow(f"non-finite value: {exc}") from None
+            raise
+        if jet.gradient is None and (derivatives or batch and not np.ndim(jet.value)):
+            value = np.full(batch, jet.value) if batch else jet.value
+            jet = Jet.constant(value, n, self.real) if derivatives else Jet(value, real=self.real)
+        return jet
 
 
 def parse_expression(text, variables, mode="real"):

@@ -1,8 +1,9 @@
-"""Forward-mode differentiation to order three.
+"""Forward-mode differentiation to order three, at a point or a batch of points.
 
 A `Jet` carries the value, gradient, Hessian and third-derivative tensor of a
 scalar function of n variables, propagated through arithmetic by the Leibniz
-and chain rules (the collapsed form of triply nested dual numbers).  A jet
+and chain rules (the collapsed form of triply nested dual numbers); for a
+batch, value (...) to third (..., n, n, n) carry leading batch axes.  A jet
 without derivative arrays is a constant, so an operation on such jets computes
 the value alone: a pass whose variables carry no arrays is a value-only pass,
 under the same domain rules.  Real and holomorphic-complex evaluation share the
@@ -20,10 +21,23 @@ from .errors import DomainError, Overflow
 __all__ = ["Jet"]
 
 
+def _b(v):
+    """v to scale arrays of 1, 2 and 3 derivative axes; a number as it is."""
+    if isinstance(v, np.ndarray):
+        return v[..., None], v[..., None, None], v[..., None, None, None]
+    return v, v, v
+
+
+def _pow(x, p):
+    """x ** p, for a real batch by the C library's pow, as for a single point."""
+    return np.float_power(x, p) if isinstance(x, np.ndarray) and x.dtype.kind == "f" else x**p
+
+
 def _sym3(h, g):
     """Symmetrized product h_ij g_k + h_ik g_j + h_jk g_i."""
-    hg = np.einsum("ij,k->ijk", h, g)
-    return hg + hg.transpose(0, 2, 1) + hg.transpose(2, 0, 1)
+    hg = np.einsum("...ij,...k->...ijk", h, g)
+    hk = hg.swapaxes(-1, -2)  # h_ik g_j, and h_jk g_i with i and j swapped
+    return hg + hk + hk.swapaxes(-3, -2)
 
 
 class Jet:
@@ -41,26 +55,22 @@ class Jet:
 
     @classmethod
     def variable(cls, value, index, n, real=True):
-        dtype = np.float64 if real else np.complex128
-        g = np.zeros(n, dtype=dtype)
-        g[index] = 1.0
-        return cls(
-            float(value) if real else complex(value),
-            g,
-            np.zeros((n, n), dtype=dtype),
-            np.zeros((n, n, n), dtype=dtype),
-            real=real,
-        )
+        if not isinstance(value, np.ndarray):
+            value = float(value) if real else complex(value)
+        jet = cls.constant(value, n, real)
+        jet.gradient[..., index] = 1.0
+        return jet
 
     @classmethod
     def constant(cls, value, n, real=True):
         """A constant with zero derivative arrays over n variables."""
         dtype = np.float64 if real else np.complex128
+        shape = value.shape if isinstance(value, np.ndarray) else ()
         return cls(
             value,
-            np.zeros(n, dtype=dtype),
-            np.zeros((n, n), dtype=dtype),
-            np.zeros((n, n, n), dtype=dtype),
+            np.zeros(shape + (n,), dtype=dtype),
+            np.zeros(shape + (n, n), dtype=dtype),
+            np.zeros(shape + (n, n, n), dtype=dtype),
             real=real,
         )
 
@@ -102,20 +112,17 @@ class Jet:
         if self.gradient is None:
             self, o = o, self
         value = self.value * o.value
+        if self.gradient is None:
+            return Jet(value, real=self.real)
+        v1, v2, v3 = _b(o.value)
         if o.gradient is None:
-            if self.gradient is None:
-                return Jet(value, real=self.real)
-            c = o.value
-            return Jet(value, self.gradient * c, self.hessian * c, self.third * c, self.real)
-        g = self.gradient * o.value + self.value * o.gradient
-        gg = np.outer(self.gradient, o.gradient)
-        h = self.hessian * o.value + gg + gg.T + self.value * o.hessian
-        t = (
-            self.third * o.value
-            + _sym3(self.hessian, o.gradient)
-            + _sym3(o.hessian, self.gradient)
-            + self.value * o.third
-        )
+            return Jet(value, self.gradient * v1, self.hessian * v2, self.third * v3, self.real)
+        u1, u2, u3 = _b(self.value)
+        g = self.gradient * v1 + u1 * o.gradient
+        gg = self.gradient[..., :, None] * o.gradient[..., None, :]
+        h = self.hessian * v2 + gg + gg.swapaxes(-1, -2) + u2 * o.hessian
+        t = self.third * v3 + _sym3(self.hessian, o.gradient) + _sym3(o.hessian, self.gradient)
+        t = t + u3 * o.third
         return Jet(value, g, h, t, self.real)
 
     __rmul__ = __mul__
@@ -127,11 +134,10 @@ class Jet:
         return self._lift(other) * self._reciprocal()
 
     def __pow__(self, exponent):
-        e = self._lift(exponent)
-        if e.gradient is None or not (e.gradient.any() or e.hessian.any()):
-            return self.powc(e.value)
-        # u^v = exp(v ln u), for a positive (real) or nonzero (complex) base
-        return (e * self.ln()).exp()
+        """`powc` for a number; u^v = exp(v ln u) for a `Jet` exponent."""
+        if not isinstance(exponent, Jet):
+            return self.powc(exponent)
+        return (exponent * self.ln()).exp()
 
     def __rpow__(self, base):
         return self._lift(base) ** self
@@ -143,33 +149,34 @@ class Jet:
         at x; they are computed only if this jet carries derivative arrays."""
         if self.gradient is None:
             return Jet(c0, real=self.real)
-        c1, c2, c3 = coefficients()
-        g = c1 * self.gradient
-        gg = np.outer(self.gradient, self.gradient)
-        h = c2 * gg + c1 * self.hessian
+        c1, c2, c3 = map(_b, coefficients())  # c[k - 1] scales k derivative axes
+        g = self.gradient
+        gg = g[..., :, None] * g[..., None, :]
         t = (
-            c3 * np.einsum("i,j,k->ijk", self.gradient, self.gradient, self.gradient)
-            + c2 * _sym3(self.hessian, self.gradient)
-            + c1 * self.third
+            c3[2] * np.einsum("...i,...j,...k->...ijk", g, g, g)
+            + c2[2] * _sym3(self.hessian, g)
+            + c1[2] * self.third
         )
-        return Jet(c0, g, h, t, self.real)
+        return Jet(c0, c1[0] * g, c2[1] * gg + c1[1] * self.hessian, t, self.real)
 
-    def _outside(self, x):
-        """Whether x lies outside the domain of ln, sqrt and non-integer
-        powers: x <= 0 in real mode, x == 0 in complex mode."""
-        return not x > 0 if self.real else x == 0
+    def _require(self, positive, message):
+        """`DomainError(message(x))` at the first x == 0, or x <= 0 if `positive` (real)."""
+        x = self.value
+        bad = np.logical_not(x > 0) if positive and self.real else x == 0
+        if bad.any() if isinstance(x, np.ndarray) else bad:
+            raise DomainError(message(x[bad][0] if isinstance(x, np.ndarray) else x))
 
     def _reciprocal(self):
         x = self.value
-        if x == 0:
-            raise DomainError("division by zero")
-        return self._compose(1.0 / x, lambda: (-1.0 / x**2, 2.0 / x**3, -6.0 / x**4))
+        self._require(False, lambda x: "division by zero")
+        return self._compose(
+            1.0 / x, lambda: (-1.0 / _pow(x, 2), 2.0 / _pow(x, 3), -6.0 / _pow(x, 4))
+        )
 
     def ln(self):
         x = self.value
-        if self._outside(x):
-            raise DomainError(f"ln of nonpositive argument {x}")
-        return self._compose(np.log(x), lambda: (1.0 / x, -1.0 / x**2, 2.0 / x**3))
+        self._require(True, lambda x: f"ln of nonpositive argument {x}")
+        return self._compose(np.log(x), lambda: (1.0 / x, -1.0 / _pow(x, 2), 2.0 / _pow(x, 3)))
 
     def exp(self):
         e = np.exp(self.value)
@@ -177,10 +184,9 @@ class Jet:
 
     def sqrt(self):
         x = self.value
-        if self._outside(x):
-            raise DomainError(f"sqrt of nonpositive argument {x}")
+        self._require(True, lambda x: f"sqrt of nonpositive argument {x}")
         r = np.sqrt(x)
-        return self._compose(r, lambda: (0.5 / r, -0.25 / (x * r), 0.375 / (x**2 * r)))
+        return self._compose(r, lambda: (0.5 / r, -0.25 / (x * r), 0.375 / (_pow(x, 2) * r)))
 
     def powc(self, p):
         """Power with a constant exponent.
@@ -208,20 +214,21 @@ class Jet:
                     return result
                 base = base * base
         x = self.value
-        if self._outside(x):
-            raise DomainError(f"nonpositive base {x} with non-integer exponent {p}")
+        self._require(True, lambda x: f"nonpositive base {x} with non-integer exponent {p}")
         return self._compose(
-            x**p,
+            _pow(x, p),
             lambda: (
-                p * x ** (p - 1),
-                p * (p - 1) * x ** (p - 2),
-                p * (p - 1) * (p - 2) * x ** (p - 3),
+                p * _pow(x, p - 1),
+                p * (p - 1) * _pow(x, p - 2),
+                p * (p - 1) * (p - 2) * _pow(x, p - 3),
             ),
         )
 
     def finite(self):
-        """This jet, after checking that its value and derivatives are finite."""
+        """This jet, after checking that its values and derivatives are finite."""
+        v = self.value
         arrays = () if self.gradient is None else (self.gradient, self.hessian, self.third)
-        if not (cmath.isfinite(self.value) and all(np.isfinite(a).all() for a in arrays)):
+        finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)
+        if not (finite and all(np.isfinite(a).all() for a in arrays)):
             raise Overflow("non-finite value or derivative")
         return self
