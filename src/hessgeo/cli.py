@@ -238,15 +238,9 @@ def cone_conformal_suite(cone: cones_mod.ConePreset, samples=None) -> List[Check
     # orbit reachability from the sampled generators only: informational,
     # transitivity itself is not decidable from samples
     points = cone.con.sample_points(10, salt=13)
-    reach = Residual()
-    for p in points:
-        images = np.array([T(p) for T in unim])
-        best = np.inf
-        for q in points:
-            if np.allclose(q, p):
-                continue
-            best = min(best, float(np.min(np.linalg.norm(images - q, axis=1))))
-        reach.add(best)
+    gaps = np.array([np.linalg.norm(T(points)[:, None] - points, axis=-1) for T in unim]).min(0)
+    gaps[np.isclose(points[None], points[:, None]).all(axis=-1)] = np.inf  # q close to p
+    reach = Residual().add(np.max(np.min(gaps, axis=1)))
     entries.append(
         CheckResult(
             "orbit_reachability",

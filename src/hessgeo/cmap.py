@@ -410,7 +410,7 @@ def _frame_fields(sk: SpecialKahlerStructure):
 
     at_q = point_bundle(frame_and_derivative)
     gc, I1, I2, I3 = (
-        TensorField.from_bundle(2 * n, lambda pt: at_q(pt[:n]), k, k + 4) for k in range(4)
+        TensorField.from_bundle(2 * n, lambda pt: at_q(pt[..., :n]), k, k + 4) for k in range(4)
     )
     return gc, (I1, I2, I3)
 

@@ -82,14 +82,9 @@ def build_kahler_lift(structure: HessianStructure) -> KahlerLift:
 def check_kahler(lift: KahlerLift, samples=None):
     """Closedness of w, and the identities tying w, J and g_r together."""
     points = lift.sample_points(samples)
-    J = lift.J
-    residual = Residual()
-    residual.add_max_abs(J @ J + np.eye(lift.dim))
-    for p in points:
-        G = lift.metric(p)
-        residual.add_max_abs(
-            exterior_derivative_2form(lift.omega, p), J.T @ G @ J - G, lift.omega(p) - J.T @ G
-        )
+    J, G, w = lift.J, lift.metric(points), lift.omega(points)
+    dw = exterior_derivative_2form(lift.omega, points)
+    residual = Residual().add_max_abs(J @ J + np.eye(lift.dim), dw, J.T @ G @ J - G, w - J.T @ G)
     return CheckResult(
         check_id="kahler_closed",
         claim="d(omega) = 0, J^2 = -Id, g_r(J., J.) = g_r and omega = g_r(J., .) "
@@ -111,12 +106,10 @@ def check_potential_identity(lift: KahlerLift, samples=None):
     jet = lifted_potential.jet3
     hessian = TensorField(2 * n, lambda q: jet(q).gradient, lambda q: jet(q).hessian)
     points = lift.sample_points(samples)
-    residual = Residual()
-    for p in points:
-        H = hessian.derivative(p)
-        # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
-        h = 0.25 * (H[:n, :n] + H[n:, n:])
-        residual.add_max_abs(blocks(h, 0, 0, h) - lift.metric(p), H[:n, n:])
+    H = hessian.derivative(points)
+    # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
+    h = 0.25 * (H[..., :n, :n] + H[..., n:, n:])
+    residual = Residual().add_max_abs(blocks(h, 0, 0, h) - lift.metric(points), H[..., :n, n:])
     return CheckResult(
         check_id="kahler_potential",
         claim="g_r equals the complex Hessian of 4 pi^* phi",

@@ -19,6 +19,7 @@ from .errors import (
     EmptyDomainSample,
     NonpositiveNorm,
     NotPositiveDefinite,
+    Overflow,
 )
 from .expressions import ScalarExpression, parse_expression
 from .report import CheckResult, require
@@ -68,23 +69,29 @@ class Domain:
             return False
 
     def sample(self, count, rng, max_tries=10000):
-        """Rejection-sample `count` interior points; resample, never skip.
-        Gives up after `max_tries` draws in a row outside the domain."""
+        """Rejection-sample `count` interior points, giving up after `max_tries` draws in
+        a row outside; chunks no longer than a point-by-point loop would still draw,
+        one pass per inequality (point by point where one raises), give its points."""
         lo, hi = self.box[:, 0], self.box[:, 1]
-        points, misses = [], 0
-        while len(points) < count:
-            p = lo + (hi - lo) * rng.random(self.dim)
-            if self.contains(p):
-                points.append(p)
-                misses = 0
-                continue
-            misses += 1
+        chunks, found, misses = [np.empty((0, self.dim))], 0, 0
+        while found < count:
+            draws = lo + (hi - lo) * rng.random((min(count - found, max_tries - misses), self.dim))
+            inside = np.ones(len(draws), dtype=bool)
+            try:
+                for ineq in self.inequalities:
+                    inside[inside] = ineq(draws[inside]) > self.margin
+            except (DomainError, Overflow):
+                inside = np.array([self.contains(p) for p in draws], dtype=bool)
+            hits = np.flatnonzero(inside)
+            chunks.append(draws[hits])
+            found += len(hits)
+            misses = len(draws) - 1 - hits[-1] if len(hits) else misses + len(draws)
             if misses == max_tries:
                 raise EmptyDomainSample(
-                    f"only {len(points)}/{count} domain points found in the bounding "
+                    f"only {found}/{count} domain points found in the bounding "
                     f"box: {max_tries} draws in a row missed the domain"
                 )
-        return np.array(points)
+        return np.concatenate(chunks)
 
 
 @dataclass(frozen=True)
@@ -153,25 +160,22 @@ def check_hessian(structure: HessianStructure, samples=None):
     derivative at samples; raises `NotPositiveDefinite` at the first sample
     where `is_positive_definite` fails."""
     points = structure.sample_points(samples)
-    res_pd, res_sym = Residual(), Residual()
-    for p in points:
-        H = structure.metric(p)
-        if not is_positive_definite(H):
-            raise NotPositiveDefinite(p, f"Hess({structure.name}) not positive definite")
-        res_pd.add(-np.min(np.linalg.eigvalsh(H)))
-        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
+    H = structure.metric(points)
+    bad = points[~is_positive_definite(H)]
+    if len(bad):
+        raise NotPositiveDefinite(bad[0], f"Hess({structure.name}) not positive definite")
     return [
         CheckResult(
             "hessian_positive_definite",
             "the metric is positive definite on the sampled domain",
-            res_pd.value,
+            Residual().add(-np.min(np.linalg.eigvalsh(H))).value,
             1e-10,
             len(points),
         ),
         CheckResult(
             "hessian_symmetry",
             "d_k g_ij is totally symmetric (g is locally a Hessian)",
-            res_sym.value,
+            symmetry_defect(structure.metric.derivative(points)),
             1e-8,
             len(points),
         ),
@@ -183,9 +187,7 @@ def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
     Kahler structure; raises `NonpositiveNorm` at the first sample where
     g(xi, xi) <= 0."""
     points = structure.sample_points(samples)
-    ss = SelfsimilarHessianStructure(structure, xi)
-    for p in points:
-        norm_squared(ss, p)
+    norm_squared(SelfsimilarHessianStructure(structure, xi), points)
     return CheckResult(
         check_id="selfsimilar_metric",
         claim="L_xi g = 2 g for the affine homothetic field xi",
@@ -203,13 +205,15 @@ def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
 
 
 def norm_squared(s, p, check=True):
-    """g(xi, xi) at p; strictly positive on a valid structure."""
+    """g(xi, xi) at p, or at each of a batch of points; strictly positive on a
+    valid structure, else `NonpositiveNorm` at the first point."""
     p = np.asarray(p, dtype=float)
     v = s.xi.value(p)
-    value = float(v @ s.metric(p) @ v)
-    if check and value <= 0.0:
-        raise NonpositiveNorm(f"g(xi, xi) = {value} at {p}")
-    return value
+    value = ((v[..., None, :] @ s.metric(p)) @ v[..., None])[..., 0, 0]
+    if check and np.any(value <= 0.0):
+        k = np.argmax(value <= 0.0)
+        raise NonpositiveNorm(f"g(xi, xi) = {value.flat[k]} at {p.reshape(-1, p.shape[-1])[k]}")
+    return value if value.ndim else float(value)
 
 
 def norm_gradient(s, p):
@@ -218,7 +222,9 @@ def norm_gradient(s, p):
 
     def exact(x):
         v, D = s.xi.value(x), s.metric.derivative(x)
-        return 2.0 * (s.xi.jacobian(x).T @ (s.metric(x) @ v)) + np.einsum("i,j,kij->k", v, v, D)
+        gv = s.metric(x) @ v[..., None]
+        dg = np.einsum("...i,...j,...kij->...k", v, v, D)
+        return 2.0 * (s.xi.jacobian(x).T @ gv)[..., 0] + dg
 
     return TensorField(s.dim, lambda q: norm_squared(s, q, check=False), exact).derivative(p)
 
@@ -229,12 +235,13 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
     n = T.dim // 2
 
     def func(p):
-        return (1.0 / norm_squared(s, p[:n])) * T(p)
+        return np.asarray(1.0 / norm_squared(s, p[..., :n]))[..., None, None] * T(p)
 
     def dfunc(p):
-        f = 1.0 / norm_squared(s, p[:n])
-        df = np.concatenate([-f * f * norm_gradient(s, p[:n]), np.zeros(n)])
-        return f * T.derivative(p) + np.einsum("k,ij->kij", df, T(p))
+        x = p[..., :n]
+        f = np.asarray(1.0 / norm_squared(s, x))[..., None]
+        df = np.concatenate([-f * f * norm_gradient(s, x), np.zeros(x.shape)], axis=-1)
+        return f[..., None, None] * T.derivative(p) + np.einsum("...k,...ij->...kij", df, T(p))
 
     return TensorField(T.dim, func, dfunc)
 
@@ -242,11 +249,10 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
 def norm_homothety_defect(s, points):
     """Max over bundle points (x, y) of |L_X N - 2 N| for N = pi^* g(xi, xi)
     and a lifted field X that moves x along xi."""
-    residual = Residual()
-    for p in points:
-        x = p[: s.dim]
-        residual.add(abs(float(s.xi.value(x) @ norm_gradient(s, x)) - 2.0 * norm_squared(s, x)))
-    return residual.value
+
+    x = np.asarray(points, dtype=float)[..., : s.dim]
+    dN = (s.xi.value(x)[..., None, :] @ norm_gradient(s, x)[..., None])[..., 0, 0]
+    return Residual().add(np.max(np.abs(dN - 2.0 * norm_squared(s, x)))).value
 
 
 # -- configuration ---------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Pointwise tensor operations on fields over a single global flat chart.
+"""Tensor operations on fields over a single global flat chart.
 
 Every field, whether a metric, a 2-form or an endomorphism, is one
-`TensorField`: an evaluator `point -> array`.  Fields built from expressions
-carry analytic derivatives (order-3 jets); fields only available numerically,
-and every field inside `finite_differences()`, differentiate by
-Richardson-extrapolated central finite differences with step
-`FD_STEP * max(1, |p|)`.  A field whose value and derivative come from the
-same per-point work reads both from one `point_bundle`, always computed exactly.
-Checks collect their residuals in a `Residual`, measure invariance under
-affine maps with `invariance_defect` and under a flow with `flow_defect`.
+`TensorField`: an evaluator of a point or a batch of points.  Fields built from
+expressions carry analytic derivatives (order-3 jets, one walk per batch);
+fields only available numerically, and every field inside `finite_differences()`,
+differentiate by Richardson-extrapolated central finite differences with step
+`FD_STEP * max(1, |p|)` per point.  A field whose value and derivative come from
+the same per-point work reads both from one `point_bundle`, always computed
+exactly.  Checks collect their residuals in a `Residual` and measure invariance
+under maps with `invariance_defect` and flows with `flow_defect`, on whole samples.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,39 +95,40 @@ def point_bundle(compute):
             array.setflags(write=False)
         return arrays
 
-    return lambda p: cached(np.asarray(p, dtype=float).tobytes())
+    def at(p):  # a batch (B, n) row by row, each entry stacked
+        p = np.asarray(p, dtype=float)
+        return cached(p.tobytes()) if p.ndim == 1 else tuple(map(np.stack, zip(*map(at, p))))
+
+    return at
 
 
 def _central_difference(func, p, h):
     rows = []
-    for e in h * np.eye(len(p)):
-        rows.append((np.asarray(func(p + e)) - np.asarray(func(p - e))) / (2 * h))
-    return np.stack(rows, axis=0)
+    for e in np.eye(p.shape[-1]):
+        step = np.multiply.outer(h, e)  # h e at each point
+        diff = np.asarray(func(p + step)) - np.asarray(func(p - step))
+        rows.append(diff / np.reshape(2 * h, np.shape(h) + (1,) * (diff.ndim - np.ndim(h))))
+    return np.stack(rows, axis=p.ndim - 1)
 
 
-def _richardson(func, p):
-    """(4 D(h/2) - D(h)) / 3 for the central difference D with step
-    h = FD_STEP * max(1, |p|): fourth order."""
+def fd_tensor_derivative(func, p):
+    """Finite-difference derivative D[..., k, ...] = d_k T_...: (4 D(h/2) - D(h)) / 3
+    for the central difference D with step h = FD_STEP * max(1, |p|) per point."""
     p = np.asarray(p, dtype=float)
-    h = FD_STEP * max(1.0, float(np.max(np.abs(p))))
+    h = FD_STEP * np.maximum(1.0, np.max(np.abs(p), axis=-1))
     return (4 * _central_difference(func, p, h / 2) - _central_difference(func, p, h)) / 3
 
 
 def fd_gradient(func, p):
     """Finite-difference gradient of a scalar evaluator."""
-    return _richardson(func, p)
-
-
-def fd_tensor_derivative(func, p):
-    """Finite-difference derivative D[k, ...] = d_k T_... of a tensor evaluator."""
-    return _richardson(func, p)
+    return fd_tensor_derivative(func, p)
 
 
 @dataclass(frozen=True)
 class TensorField:
-    """Tensor field (metric, 2-form or endomorphism) given by an evaluator,
-    optionally with its exact derivative D[k, ...] = d_k T_...; without one,
-    or inside `finite_differences()`, `derivative` is a finite difference."""
+    """Tensor field (metric, 2-form or endomorphism) given by an evaluator of
+    points (..., dim), optionally with its exact derivative D[..., k, i, j] =
+    d_k T_ij; without one, or inside `finite_differences()`, an FD."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
@@ -142,32 +142,34 @@ class TensorField:
 
     @classmethod
     def from_potential(cls, potential: ScalarExpression):
-        """Hess(potential), with the third derivatives as its derivative; one
-        jet per point gives both."""
-        hessian_and_third = attrgetter("hessian", "third")
-        bundle = point_bundle(lambda p: hessian_and_third(potential.jet3(p)))
-        return cls.from_bundle(len(potential.variables), bundle, 0, 1)
+        """Hess(potential), with the third derivatives as its derivative:
+        one jet pass over the points for either."""
+        hessian, third = (lambda p: potential.jet3(p).hessian), (lambda p: potential.jet3(p).third)
+        return cls(len(potential.variables), hessian, third)
 
     @classmethod
     def from_components(cls, components):
-        """Explicit component expressions; one jet per component per point
-        gives the value and the derivative."""
+        """Explicit component expressions: one value-only pass per component
+        for the value, one jet pass per component for the derivative."""
         comps = [list(row) for row in components]
 
-        def value_and_derivative(p):
-            jets = [[c.jet3(p) for c in row] for row in comps]
-            value = np.array([[jet.value for jet in row] for row in jets], dtype=float)
-            gradients = np.array([[jet.gradient for jet in row] for row in jets])
-            return value, np.ascontiguousarray(np.moveaxis(gradients, 2, 0))
+        def stacked(f):  # entries (i, j, ...) -> (..., i, j)
+            return lambda p: np.moveaxis(
+                np.array([[f(c, p) for c in row] for row in comps], dtype=float), (0, 1), (-2, -1)
+            )
 
-        return cls.from_bundle(len(comps), point_bundle(value_and_derivative), 0, 1)
+        value, gradient = stacked(lambda c, p: c(p)), stacked(lambda c, p: c.jet3(p).gradient)
+        return cls(len(comps), value, gradient)
 
     @classmethod
     def constant(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         n = matrix.shape[0]
-        zero = np.zeros((n, n, n))
-        return cls(n, lambda p: matrix, lambda p: zero)
+
+        def at_each_point(a):
+            return lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape)
+
+        return cls(n, at_each_point(matrix), at_each_point(np.zeros((n, n, n))))
 
     def __call__(self, p):
         return self.func(np.asarray(p, dtype=float))
@@ -176,6 +178,11 @@ class TensorField:
         if self.dfunc is None or _FINITE_DIFFERENCES.get():
             return fd_tensor_derivative(self.func, p)
         return self.dfunc(np.asarray(p, dtype=float))
+
+
+def _apply(A, p):
+    """A p at each point, with the bits of A @ p at a single point."""
+    return (A @ np.asarray(p, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ class VectorFieldSpec:
         return cls(A, np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float))
 
     def value(self, p):
-        return self.A @ np.asarray(p, dtype=float) + self.b
+        return _apply(self.A, p) + self.b
 
     def jacobian(self, p):
         """J[i, k] = d_k xi^i."""
@@ -219,7 +226,7 @@ class AffineAutomorphism:
         return cls(A, np.zeros(A.shape[0]))
 
     def __call__(self, p):
-        return self.A @ np.asarray(p, dtype=float) + self.b
+        return _apply(self.A, p) + self.b
 
 
 # -- operations ------------------------------------------------------------
@@ -255,10 +262,10 @@ def lift_tensor(g: TensorField, assemble):
     n = g.dim
 
     def derivative(p):
-        D = assemble(g.derivative(p[:n]))
-        return np.concatenate([D, np.zeros_like(D)])
+        D = assemble(g.derivative(p[..., :n]))
+        return np.concatenate([D, np.zeros_like(D)], axis=-3)
 
-    return TensorField(2 * n, lambda p: assemble(g(p[:n])), derivative)
+    return TensorField(2 * n, lambda p: assemble(g(p[..., :n])), derivative)
 
 
 def standard_symplectic(m):
@@ -302,7 +309,7 @@ def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p):
     Tp = T(p)
     DT = T.derivative(p)
     J = xi.jacobian(p)
-    return np.einsum("k,kij->ij", xi.value(p), DT) + J.T @ Tp + Tp @ J
+    return np.einsum("...k,...kij->...ij", xi.value(p), DT) + J.T @ Tp + Tp @ J
 
 
 def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p):
@@ -311,21 +318,19 @@ def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p):
     Jm = J(p)
     DJ = J.derivative(p)
     X = xi.jacobian(p)
-    return np.einsum("k,kij->ij", xi.value(p), DJ) + Jm @ X - X @ Jm
+    return np.einsum("...k,...kij->...ij", xi.value(p), DJ) + Jm @ X - X @ Jm
 
 
 def exterior_derivative_2form(omega: TensorField, p):
     """(d omega)_{kij} = d_k w_ij - d_i w_kj + d_j w_ki."""
     D = omega.derivative(p)
-    return D - np.transpose(D, (1, 0, 2)) + np.transpose(D, (1, 2, 0))
+    return D - D.swapaxes(-3, -2) + np.moveaxis(D, -3, -1)
 
 
 def symmetry_defect(D):
     """Largest deviation of D[k, i, j] from total symmetry; zero for the
     derivative of a Hessian metric."""
-    return Residual().add_max_abs(
-        D - np.transpose(D, (1, 0, 2)), D - np.transpose(D, (2, 1, 0))
-    ).value
+    return Residual().add_max_abs(D - D.swapaxes(-3, -2), D - D.swapaxes(-3, -1)).value
 
 
 def nijenhuis(J: TensorField, p):
@@ -342,38 +347,37 @@ def nijenhuis(J: TensorField, p):
 
 
 def pullback_metric(T: AffineAutomorphism, g: TensorField, p):
-    """(T^* g)(p) = A^T g(Ap + b) A for a covariant 2-tensor g."""
+    """(T^* g)(p) = A^T g(Ap + b) A; a batch names its first image out of the domain."""
     image = T(p)
     try:
         gi = g(image)
     except DomainError as exc:
+        for q in p if np.ndim(p) > 1 else ():
+            pullback_metric(T, g, q)
         raise DomainError(f"image point {image} left the domain: {exc}") from exc
     return T.A.T @ gi @ T.A
 
 
 def pullback_defect(T: AffineAutomorphism, g: TensorField, p, factor=1.0):
-    """(max |T^* g - factor g|, max |factor g|) at p: the defect and the scale
-    a caller normalises it by."""
+    """(max |T^* g - factor g|, max |factor g|) at each point: the defect and
+    the scale a caller normalises it by."""
     expected = factor * g(p)
-    return (
-        np.max(np.abs(pullback_metric(T, g, p) - expected)),
-        np.max(np.abs(expected)),
-    )
+    defect = np.abs(pullback_metric(T, g, p) - expected)
+    return np.max(defect, axis=(-2, -1)), np.max(np.abs(expected), axis=(-2, -1))
 
 
 def invariance_defect(maps, points, covariant=(), endomorphisms=(), factor=1.0, floor=0.0):
     """Max over maps T and points p of |T^* S - factor S| / max(floor, |factor S|)
-    for each covariant 2-tensor field S, and of |A^{-1} K(Tp) A - K(p)| for
-    each endomorphism field K."""
+    at p for each covariant 2-tensor field S, and of |A^{-1} K(Tp) A - K(p)| for
+    each endomorphism field K; the images under each map are one batch."""
+    points = np.asarray(points, dtype=float)
     residual = Residual()
     for T in maps:
-        for p in points:
-            image = T(p)
-            for S in covariant:
-                defect, scale = pullback_defect(T, S, p, factor)
-                residual.add(defect / max(floor, scale))
-            for K in endomorphisms:
-                residual.add_max_abs(np.linalg.solve(T.A, K(image) @ T.A) - K(p))
+        for S in covariant:
+            defect, scale = pullback_defect(T, S, points, factor)
+            residual.add(np.max(defect / np.maximum(floor, scale)))
+        for K in endomorphisms:
+            residual.add_max_abs(np.linalg.solve(T.A, K(T(points)) @ T.A) - K(points))
     return residual.value
 
 
@@ -381,12 +385,12 @@ def flow_defect(X: VectorFieldSpec, points, covariant=(), endomorphisms=(), fact
     """Max over points p of |L_X S - factor S| for each covariant 2-tensor
     field S, and of |L_X K| for each endomorphism field K: the flow
     counterpart of `invariance_defect`, absolute."""
+    points = np.asarray(points, dtype=float)
     residual = Residual()
-    for p in points:
-        for S in covariant:
-            residual.add_max_abs(lie_derivative_metric(S, X, p) - factor * S(p))
-        for K in endomorphisms:
-            residual.add_max_abs(lie_derivative_endomorphism(K, X, p))
+    for S in covariant:
+        residual.add_max_abs(lie_derivative_metric(S, X, points) - factor * S(points))
+    for K in endomorphisms:
+        residual.add_max_abs(lie_derivative_endomorphism(K, X, points))
     return residual.value
 
 
@@ -424,5 +428,7 @@ class Residual:
 
 
 def is_positive_definite(M, tol=1e-10):
+    """Whether M is positive definite: a bool, or one per matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) > tol)
+    definite = np.min(np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2))), axis=-1) > tol
+    return definite if definite.ndim else bool(definite)
