@@ -482,17 +482,21 @@ def test_cone_check_builds_each_structure_once(monkeypatch):
 
 @pytest.mark.parametrize("geometry", ["orthant2", "lorentz3", "spd2"])
 def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
-    calls = []
-    jet3 = ScalarExpression.jet3
+    # each field evaluation walks the expression tree once for its whole
+    # sample, and the domain sampler once per inequality for a chunk of draws:
+    # no walk at a single point, so a check that loops over points fails this
+    walks = {"jet3": [], "__call__": []}
+    for name, rows in walks.items():
+        original = getattr(ScalarExpression, name)
 
-    def counted(expr, p):
-        calls.append((id(expr), np.asarray(p).tobytes()))
-        return jet3(expr, p)
+        def counted(expr, p, _original=original, _rows=rows):
+            _rows.append(int(np.prod(np.shape(p)[:-1])))
+            return _original(expr, p)
 
-    monkeypatch.setattr(ScalarExpression, "jet3", counted)
+        monkeypatch.setattr(ScalarExpression, name, counted)
     run_check(geometry, ["all"], None, 42)
-    # 6,340 calls for these 1,800 pairs when each field evaluation made its own jet
-    assert len(calls) == len(set(calls)) == 1800
+    counts = {name: (len(rows), sum(rows), rows.count(1)) for name, rows in walks.items()}
+    assert counts == {"jet3": (141, 6740, 0), "__call__": (40, 2480, 0)}
 
 
 def test_special_kahler_check_assembles_one_frame_per_point(monkeypatch):

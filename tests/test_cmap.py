@@ -294,16 +294,12 @@ def test_cached_darboux_tensors_are_read_only():
     q = sk.sample_points(1)[0]
     pt = bundle_sample_points(sk, 1, 0, FIBER_SALT)[0]
     gc, I_fields = _frame_fields(sk)
-    g = TensorField.from_potential(parse_expression("-ln(x1)-ln(x2)", ["x1", "x2"]))
-    x = np.array([0.5, 2.0])
     reads = [
         (sk.metric, q),
         (sk.metric.derivative, q),
         (sk.complex_structure.derivative, q),
         (gc, pt),
         (I_fields[2].derivative, pt),
-        (g, x),
-        (g.derivative, x),
     ]
     for read, point in reads:
         value = read(point)
@@ -311,3 +307,11 @@ def test_cached_darboux_tensors_are_read_only():
         with pytest.raises(ValueError):
             value.flat[0] = first + 1.0
         assert read(point).flat[0] == first
+    # a potential's field has no cache: each read is a new array
+    g = TensorField.from_potential(parse_expression("-ln(x1)-ln(x2)", ["x1", "x2"]))
+    x = np.array([0.5, 2.0])
+    for read in (g, g.derivative):
+        value = read(x)
+        first = value.flat[0]
+        value.flat[0] = first + 1.0
+        assert read(x).flat[0] == first

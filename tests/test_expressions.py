@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from hessgeo.errors import (
     DomainError,
     ExprSyntaxError,
     HessgeoError,
+    Overflow,
     UnknownIdentifier,
 )
 from hessgeo.expressions import parse_expression
@@ -181,3 +185,105 @@ def test_plain_evaluation_computes_no_derivative_coefficients():
     assert parse_expression("1/x1", ["x1"])([1e-200]) == pytest.approx(1e200, rel=1e-15)
     e = parse_expression("ln(x1)^2.5", ["x1"])
     assert e([1e300]) == pytest.approx(np.log(1e300) ** 2.5, rel=1e-15)
+
+
+# -- variable exponents ------------------------------------------------------
+
+
+def test_a_variable_exponent_takes_exp_ln_in_both_passes():
+    # x1^x2 = exp(x2 ln x1) whether or not the pass carries derivatives, so
+    # both raise at x1 < 0, alone and as the second point of a batch
+    e = parse_expression("x1^x2", ["x1", "x2"])
+    batch = np.array([[1.5, 2.0], [-2.0, 2.0], [2.0, 0.5]])
+    for evaluate in (e, e.jet3):
+        for points in ([-2.0, 2.0], batch):
+            with pytest.raises(DomainError) as error:
+                evaluate(points)
+            assert str(error.value) == "ln of nonpositive argument -2.0"
+    assert e([1.5, 2.0]) == pytest.approx(2.25, rel=1e-15)
+
+
+def test_a_constant_exponent_keeps_the_power_rules():
+    # a number to a variable power, and a variable to a constant power
+    x = 1.3
+    jet = parse_expression("2^x1", ["x1"]).jet3([x])
+    assert jet.third[0, 0, 0] == pytest.approx(np.log(2.0) ** 3 * 2.0**x, rel=1e-14)
+    cube_root = parse_expression("x1^(1/3)", ["x1"])
+    jet = cube_root.jet3([8.0])
+    assert [jet.value, jet.gradient[0], jet.hessian[0, 0]] == pytest.approx(
+        [2.0, 1.0 / 12.0, -1.0 / 144.0], rel=1e-14
+    )
+    with pytest.raises(DomainError, match="nonpositive base -8.0 with non-integer exponent"):
+        cube_root([-8.0])
+
+
+# -- batches: one tree walk over (B, n) points equals B walks at one point ---
+
+
+def _batch_cases():
+    from hessgeo.cli import noncone_structure
+    from hessgeo.cones import PRESET_NAMES, preset
+    from hessgeo.rmap import build_kahler_lift
+
+    cases = []
+    for name in PRESET_NAMES:
+        cone = preset(name)
+        for structure in (cone.can, cone.con):
+            cases.append((structure.name, structure.potential, structure.sample_points(20)))
+        # the lifted potential of `check_potential_identity`, over M x R^n
+        base = cone.can
+        lifted = parse_expression(
+            f"4.0*({base.potential.serialize()})",
+            list(base.potential.variables) + [f"y{k + 1}" for k in range(base.dim)],
+        )
+        cases.append((f"{name}_lifted", lifted, build_kahler_lift(base).sample_points(20)))
+    noncone = noncone_structure()
+    for text in ("1", "0", "1+x1^2"):
+        cases.append((f"noncone {text}", parse_expression(text, ["x1", "x2"]), noncone.sample_points(20)))
+    with open(Path(__file__).parent / "golden" / "sk_direct.json") as handle:
+        config = json.load(handle)
+    q = ["q1", "q2"]
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2))
+    cases.append(("sk_direct potential", parse_expression(config["potential"], q), points))
+    for i, row in enumerate(config["I"]):
+        for j, text in enumerate(row):
+            cases.append((f"sk_direct I[{i}][{j}]", parse_expression(text, q), points))
+    return cases
+
+
+BATCH_CASES = _batch_cases()
+
+
+def _close(batched, stacked):
+    return np.max(np.abs(batched - stacked)) <= 1e-14 * max(np.max(np.abs(stacked)), 1e-300)
+
+
+@pytest.mark.parametrize("name, expression, points", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_a_batch_equals_its_points_one_by_one(name, expression, points):
+    jet = expression.jet3(points)
+    singles = [expression.jet3(p) for p in points]
+    for field in ("value", "gradient", "hessian", "third"):
+        stacked = np.array([getattr(s, field) for s in singles])
+        assert getattr(jet, field).shape == stacked.shape
+        assert _close(getattr(jet, field), stacked), field
+    values = expression(points)
+    assert values.shape == (len(points),)
+    assert _close(values, np.array([expression(p) for p in points]))
+
+
+@pytest.mark.parametrize(
+    "text, bad, error",
+    [("ln(x1)+x2", -1.0, DomainError), ("sqrt(x1)*x2", -4.0, DomainError),
+     ("exp(exp(x1))+x2", 800.0, Overflow)],
+)
+def test_a_batch_raises_what_its_first_failing_point_raises(text, bad, error):
+    e = parse_expression(text, ["x1", "x2"])
+    points = np.full((7, 2), 0.5)
+    points[3] = [bad, 0.25]
+    points[5] = [2 * bad, 0.75]
+    for evaluate in (e, e.jet3):
+        with pytest.raises(error) as alone:
+            evaluate(points[3])
+        with pytest.raises(error) as batched:
+            evaluate(points)
+        assert str(batched.value) == str(alone.value)

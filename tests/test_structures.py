@@ -7,6 +7,7 @@ from hessgeo.errors import (
     NonpositiveNorm,
     NotPositiveDefinite,
 )
+from hessgeo.cones import preset
 from hessgeo.expressions import parse_expression
 from hessgeo.structures import (
     Domain,
@@ -138,3 +139,93 @@ def test_bad_configs():
         make_hessian_structure(
             {"dim": 2, "potential": "x1^2+x2^2", "box": [[0, 1]]}
         )
+
+
+# -- batched sampling and error paths: literals taken from the point-by-point code
+
+
+@pytest.mark.parametrize(
+    "name, first_rows, total",
+    [
+        (
+            "orthant2",
+            [[1.660934072833945, 1.1583176596280784], [1.7878968798670738, 1.546052043589046]],
+            248.16086630088876,
+        ),
+        (
+            "lorentz3",
+            [
+                [2.2739560485559633, -0.08557018434712671, 0.5020370878759355],
+                [2.197368029059364, -0.5681517129572906, 0.6658712922914582],
+            ],
+            194.2210434853651,
+        ),
+        (
+            "spd2",
+            [
+                [1.728747258267156, -0.06112156024794768, 1.830317503893659],
+                [1.6368416348712367, -0.40582265211235047, 1.970746821964107],
+            ],
+            275.66255178585425,
+        ),
+    ],
+)
+def test_chunked_sampling_draws_the_point_by_point_samples(name, first_rows, total):
+    points = preset(name).can.sample_points()
+    assert points.shape == (100, len(first_rows[0]))
+    assert points[:2].tolist() == first_rows
+    assert float(points.sum()) == total
+
+
+def test_sampling_where_an_inequality_raises_keeps_the_other_points():
+    # ln(x1) raises at the draws with x1 <= 0: they are outside, and the other
+    # draws of their chunk are decided as alone
+    config = {"dim": 2, "potential": "x1^2+x2^2", "domain": ["ln(x1)"], "samples": 20}
+    points = make_hessian_structure({**config, "box": [[-1, 3], [-1, 1]]}).sample_points()
+    assert points.shape == (20, 2)
+    assert points[:2].tolist() == [
+        [2.0958241942238534, -0.12224312049589536],
+        [2.43439167964553, 0.3947360581187278],
+    ]
+    assert float(points.sum()) == 40.39988979232336
+    # over x1 in [-1, 1] no draw satisfies ln(x1) > 0.001
+    with pytest.raises(EmptyDomainSample, match="only 0/20 domain points .* 10000 draws in a row"):
+        make_hessian_structure({**config, "box": [[-1, 1], [-1, 1]]})
+
+
+def test_sampling_gives_up_after_the_same_misses_in_a_row():
+    variables = ["x1", "x2"]
+    empty = Domain((parse_expression("-1-x1^2", variables),), np.array([[0.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(EmptyDomainSample) as error:
+        empty.sample(5, np.random.default_rng(0))
+    assert str(error.value) == (
+        "only 0/5 domain points found in the bounding box: 10000 draws in a row missed the domain"
+    )
+    strip = Domain((parse_expression("0.02-(x1-0.5)^2", variables),), empty.box)
+    with pytest.raises(EmptyDomainSample, match=r"^only 12/50 domain points .*: 6 draws in a row"):
+        strip.sample(50, np.random.default_rng([42, 0]), max_tries=6)
+
+
+def cubic_structure():
+    """Hess(x1^3 + x2^2) = diag(6 x1, 2): indefinite at x1 < 0, first at the
+    tenth sample; the first two have x1 > 0."""
+    return HessianStructure(
+        name="cubic",
+        dim=2,
+        potential=parse_expression("x1^3+x2^2", ["x1", "x2"]),
+        domain=Domain((), np.array([[-0.5, 1.0], [0.5, 1.5]])),
+        seed=4,
+    )
+
+
+def test_batched_checks_name_the_first_failing_sample():
+    s = cubic_structure()
+    assert np.all(s.sample_points()[:9, 0] > 0)
+    with pytest.raises(NotPositiveDefinite) as error:
+        check_hessian(s)
+    assert str(error.value) == "Hess(cubic) not positive definite at [-0.23346112  1.10885162]"
+    # g(xi, xi) = 6 x1 for the constant field xi = (1, 0)
+    xi = VectorFieldSpec.from_affine(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    with pytest.raises(NonpositiveNorm) as error:
+        check_selfsimilar(s, xi)
+    assert str(error.value) == "g(xi, xi) = -1.40076672814217 at [-0.23346112  1.10885162]"

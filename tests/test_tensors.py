@@ -10,6 +10,7 @@ import hessgeo
 
 from hessgeo.cmap import special_kahler_preset
 from hessgeo.cones import preset
+from hessgeo.errors import DomainError
 from hessgeo.expressions import ScalarExpression, parse_expression
 from hessgeo.report import CheckResult
 from hessgeo.tensors import (
@@ -49,44 +50,48 @@ def test_hessian_metric_oracle():
     assert D[0, 1, 1] == pytest.approx(0.0)
 
 
+def _count_walks(monkeypatch, names=("jet3",)):
+    """Each tree walk of the named `ScalarExpression` passes: (pass, shape of its points)."""
+    walks = []
+    for name in names:
+        original = getattr(ScalarExpression, name)
+
+        def counted(expr, p, _original=original, _name=name):
+            walks.append((_name, np.shape(p)))
+            return _original(expr, p)
+
+        monkeypatch.setattr(ScalarExpression, name, counted)
+    return walks
+
+
 def test_potential_field_makes_one_jet_per_point(monkeypatch):
+    # one tree walk per evaluation, over every point of a batch at once
     potential = parse_expression("1/(x1*x2)+x1^4", VARS)
     g = TensorField.from_potential(potential)
-    calls = []
-    jet3 = ScalarExpression.jet3
-
-    def counted(expr, p):
-        calls.append(np.asarray(p).tobytes())
-        return jet3(expr, p)
-
-    monkeypatch.setattr(ScalarExpression, "jet3", counted)
-    points = [np.array([0.8, 1.4]), np.array([1.1, 0.7]), np.array([0.8, 1.4])]
-    for p in points * 3:
-        g(p)
-        g.derivative(p)
-    assert len(calls) == len(set(calls)) == 2
+    walks = _count_walks(monkeypatch)
+    points = np.array([[0.8, 1.4], [1.1, 0.7], [0.8, 1.4]])
+    H, D = g(points), g.derivative(points)
+    assert walks == [("jet3", (3, 2))] * 2
+    assert H.shape == (3, 2, 2) and D.shape == (3, 2, 2, 2)
+    for p, Hp, Dp in zip(points, H, D):
+        assert np.array_equal(Hp, g(p)) and np.array_equal(Dp, g.derivative(p))
+    assert walks[2:] == [("jet3", (2,))] * 6
 
 
 def test_component_field_makes_one_jet_per_component_per_point(monkeypatch):
+    # per component, one value-only walk for the value and one jet walk for
+    # the derivative, over every point of a batch at once
     rows = (("1", "x1*x2"), ("x1*x2", "1+x1^2"))
     g = TensorField.from_components([[parse_expression(t, VARS) for t in row] for row in rows])
-    calls = []
-    jet3 = ScalarExpression.jet3
-
-    def counted(expr, p):
-        calls.append(np.asarray(p).tobytes())
-        return jet3(expr, p)
-
-    def plain(expr, p):
-        raise AssertionError("plain evaluation")
-
-    monkeypatch.setattr(ScalarExpression, "jet3", counted)
-    monkeypatch.setattr(ScalarExpression, "__call__", plain)
-    p = np.array([0.8, 1.4])
-    for _ in range(3):
-        assert g(p) == pytest.approx(np.array([[1.0, 1.12], [1.12, 1.64]]))
-        assert g.derivative(p)[:, 1, 1] == pytest.approx([1.6, 0.0])
-    assert len(calls) == 4 and len(set(calls)) == 1
+    walks = _count_walks(monkeypatch, ("jet3", "__call__"))
+    points = np.array([[0.8, 1.4], [2.0, 0.5], [0.8, 1.4]])
+    value, derivative = g(points), g.derivative(points)
+    assert walks == [("__call__", (3, 2))] * 4 + [("jet3", (3, 2))] * 4
+    for k in (0, 2):
+        assert value[k] == pytest.approx(np.array([[1.0, 1.12], [1.12, 1.64]]))
+        assert derivative[k][:, 1, 1] == pytest.approx([1.6, 0.0])
+    assert value[1] == pytest.approx(np.array([[1.0, 1.0], [1.0, 5.0]]))
+    assert derivative[1][:, 0, 1] == pytest.approx([0.5, 2.0])
 
 
 def test_blocks_equal_np_block_with_zero_blocks_given_as_0():
@@ -319,3 +324,40 @@ def test_residual_lets_nan_and_inf_fail_the_check(bad, position):
     nan_matrix = np.array([[1e-12, bad], [0.0, 1e-13]])
     residual = Residual().add_max_abs(np.zeros(2), nan_matrix, np.ones(1) * 1e-12)
     assert not CheckResult("c", "claim", residual.value, 1e-6, 3).passed
+
+
+def test_invariance_defect_names_the_first_image_that_leaves_the_domain():
+    # under x -> x - (1, 0) the third sample's image is the first to leave
+    # x1 > 0; the message is the one the parent gave for the same samples
+    g = preset("orthant2").can
+    T = AffineAutomorphism(np.eye(2), np.array([-1.0, 0.0]))
+    with pytest.raises(DomainError) as error:
+        invariance_defect([T], g.sample_points(10), (g.metric,))
+    assert str(error.value) == (
+        "image point [-0.35873398  1.96343353] left the domain: "
+        "ln of nonpositive argument -1.4197480591103542"
+    )
+
+
+def _nan_at(bad_point):
+    """The field Id, with its zero derivative, that is NaN at `bad_point`."""
+    def value(p):
+        at_bad = np.all(p == bad_point, axis=-1)[..., None, None]
+        return np.where(at_bad, np.nan, np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)))
+
+    return TensorField(2, value, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+
+
+def test_a_nan_at_one_point_makes_the_batched_residuals_nan():
+    points = preset("orthant2").con.sample_points(10)
+    field = _nan_at(points[3])
+    defects = [
+        invariance_defect([AffineAutomorphism.linear(np.eye(2))], points, (field,)),
+        invariance_defect([AffineAutomorphism.linear(np.eye(2))], points, endomorphisms=(field,)),
+        flow_defect(VectorFieldSpec.from_affine(np.eye(2)), points, (field,)),
+        flow_defect(VectorFieldSpec.from_affine(np.eye(2)), points, endomorphisms=(field,)),
+    ]
+    assert all(np.isnan(d) for d in defects)
+    assert not any(CheckResult("c", "claim", d, 1e-6, len(points)).passed for d in defects)
+    # without the NaN point the same residuals are finite: Id is invariant
+    assert invariance_defect([AffineAutomorphism.linear(np.eye(2))], points[:3], (field,)) == 0.0
