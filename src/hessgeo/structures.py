@@ -69,8 +69,8 @@ class Domain:
             return False
 
     def sample(self, count, rng, max_tries=10000):
-        """Rejection-sample `count` interior points, giving up after `max_tries` draws in
-        a row outside; chunks no longer than a point-by-point loop would still draw,
+        """Rejection-sample `count` interior points; give up after `max_tries` draws
+        in a row miss.  Chunks no longer than a point-by-point loop would still draw,
         one pass per inequality (point by point where one raises), give its points."""
         lo, hi = self.box[:, 0], self.box[:, 1]
         chunks, found, misses = [np.empty((0, self.dim))], 0, 0
