@@ -248,9 +248,7 @@ class ScalarExpression:
     def __call__(self, point):
         """Plain evaluation, a value-only pass: a number, or an array (...)."""
         value = self._evaluate(point, derivatives=False).value
-        if isinstance(value, np.ndarray):
-            return value
-        return float(value) if self.real else complex(value)
+        return value if isinstance(value, np.ndarray) else float(value) if self.real else complex(value)
 
     def jet3(self, point):
         """The `Jet`: value, gradient, Hessian and third derivatives."""

@@ -19,7 +19,6 @@ from .errors import (
     EmptyDomainSample,
     NonpositiveNorm,
     NotPositiveDefinite,
-    Overflow,
 )
 from .expressions import ScalarExpression, parse_expression
 from .report import CheckResult, require
@@ -69,29 +68,23 @@ class Domain:
             return False
 
     def sample(self, count, rng, max_tries=10000):
-        """Rejection-sample `count` interior points; give up after `max_tries` draws
-        in a row miss.  Chunks no longer than a point-by-point loop would still draw,
-        one pass per inequality (point by point where one raises), give its points."""
+        """Rejection-sample `count` interior points; resample, never skip.
+        Gives up after `max_tries` draws in a row outside the domain."""
         lo, hi = self.box[:, 0], self.box[:, 1]
-        chunks, found, misses = [np.empty((0, self.dim))], 0, 0
-        while found < count:
-            draws = lo + (hi - lo) * rng.random((min(count - found, max_tries - misses), self.dim))
-            inside = np.ones(len(draws), dtype=bool)
-            try:
-                for ineq in self.inequalities:
-                    inside[inside] = ineq(draws[inside]) > self.margin
-            except (DomainError, Overflow):
-                inside = np.array([self.contains(p) for p in draws], dtype=bool)
-            hits = np.flatnonzero(inside)
-            chunks.append(draws[hits])
-            found += len(hits)
-            misses = len(draws) - 1 - hits[-1] if len(hits) else misses + len(draws)
+        points, misses = [], 0
+        while len(points) < count:
+            p = lo + (hi - lo) * rng.random(self.dim)
+            if self.contains(p):
+                points.append(p)
+                misses = 0
+                continue
+            misses += 1
             if misses == max_tries:
                 raise EmptyDomainSample(
-                    f"only {found}/{count} domain points found in the bounding "
+                    f"only {len(points)}/{count} domain points found in the bounding "
                     f"box: {max_tries} draws in a row missed the domain"
                 )
-        return np.concatenate(chunks)
+        return np.array(points)
 
 
 @dataclass(frozen=True)
@@ -160,22 +153,25 @@ def check_hessian(structure: HessianStructure, samples=None):
     derivative at samples; raises `NotPositiveDefinite` at the first sample
     where `is_positive_definite` fails."""
     points = structure.sample_points(samples)
-    H = structure.metric(points)
-    bad = points[~is_positive_definite(H)]
-    if len(bad):
-        raise NotPositiveDefinite(bad[0], f"Hess({structure.name}) not positive definite")
+    res_pd, res_sym = Residual(), Residual()
+    for p in points:
+        H = structure.metric(p)
+        if not is_positive_definite(H):
+            raise NotPositiveDefinite(p, f"Hess({structure.name}) not positive definite")
+        res_pd.add(-np.min(np.linalg.eigvalsh(H)))
+        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
     return [
         CheckResult(
             "hessian_positive_definite",
             "the metric is positive definite on the sampled domain",
-            Residual().add(-np.min(np.linalg.eigvalsh(H))).value,
+            res_pd.value,
             1e-10,
             len(points),
         ),
         CheckResult(
             "hessian_symmetry",
             "d_k g_ij is totally symmetric (g is locally a Hessian)",
-            symmetry_defect(structure.metric.derivative(points)),
+            res_sym.value,
             1e-8,
             len(points),
         ),
@@ -187,7 +183,9 @@ def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
     Kahler structure; raises `NonpositiveNorm` at the first sample where
     g(xi, xi) <= 0."""
     points = structure.sample_points(samples)
-    norm_squared(SelfsimilarHessianStructure(structure, xi), points)
+    ss = SelfsimilarHessianStructure(structure, xi)
+    for p in points:
+        norm_squared(ss, p)
     return CheckResult(
         check_id="selfsimilar_metric",
         claim="L_xi g = 2 g for the affine homothetic field xi",
@@ -206,14 +204,14 @@ def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
 
 def norm_squared(s, p, check=True):
     """g(xi, xi) at p, or at each of a batch of points; strictly positive on a
-    valid structure, else `NonpositiveNorm` at the first point."""
+    valid structure."""
     p = np.asarray(p, dtype=float)
     v = s.xi.value(p)
     value = ((v[..., None, :] @ s.metric(p)) @ v[..., None])[..., 0, 0]
+    value = value if value.ndim else float(value)
     if check and np.any(value <= 0.0):
-        k = np.argmax(value <= 0.0)
-        raise NonpositiveNorm(f"g(xi, xi) = {value.flat[k]} at {p.reshape(-1, p.shape[-1])[k]}")
-    return value if value.ndim else float(value)
+        raise NonpositiveNorm(f"g(xi, xi) = {value} at {p}")
+    return value
 
 
 def norm_gradient(s, p):
@@ -249,10 +247,11 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
 def norm_homothety_defect(s, points):
     """Max over bundle points (x, y) of |L_X N - 2 N| for N = pi^* g(xi, xi)
     and a lifted field X that moves x along xi."""
-
-    x = np.asarray(points, dtype=float)[..., : s.dim]
-    dN = (s.xi.value(x)[..., None, :] @ norm_gradient(s, x)[..., None])[..., 0, 0]
-    return Residual().add(np.max(np.abs(dN - 2.0 * norm_squared(s, x)))).value
+    residual = Residual()
+    for p in points:
+        x = p[: s.dim]
+        residual.add(abs(float(s.xi.value(x) @ norm_gradient(s, x)) - 2.0 * norm_squared(s, x)))
+    return residual.value
 
 
 # -- configuration ---------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotAnIsometry
+from .errors import DomainError, HessgeoError, NotAnIsometry
 from .expressions import ScalarExpression
 
 __all__ = [
@@ -119,9 +119,7 @@ def fd_tensor_derivative(func, p):
     return (4 * _central_difference(func, p, h / 2) - _central_difference(func, p, h)) / 3
 
 
-def fd_gradient(func, p):
-    """Finite-difference gradient of a scalar evaluator."""
-    return fd_tensor_derivative(func, p)
+fd_gradient = fd_tensor_derivative  # the finite-difference gradient of a scalar evaluator
 
 
 @dataclass(frozen=True)
@@ -236,22 +234,12 @@ def blocks(a, b, c, d):
     """[[a, b], [c, d]] over the last two axes.  The blocks are real numpy
     arrays of one shape: (n, n) matrices, or stacks (..., n, n) of derivative
     slices.  A block given as 0 (anything but an array) is zero and skipped."""
-    given = (
-        a if isinstance(a, np.ndarray)
-        else b if isinstance(b, np.ndarray)
-        else c if isinstance(c, np.ndarray)
-        else d
-    )
-    n = given.shape[-1]
-    out = np.zeros(given.shape[:-2] + (2 * n, 2 * n))
-    if isinstance(a, np.ndarray):
-        out[..., :n, :n] = a
-    if isinstance(b, np.ndarray):
-        out[..., :n, n:] = b
-    if isinstance(c, np.ndarray):
-        out[..., n:, :n] = c
-    if isinstance(d, np.ndarray):
-        out[..., n:, n:] = d
+    given = [x for x in (a, b, c, d) if isinstance(x, np.ndarray)]
+    n = given[0].shape[-1]
+    out = np.zeros(given[0].shape[:-2] + (2 * n, 2 * n))
+    for x, rows, cols in ((a, 0, 0), (b, 0, n), (c, n, 0), (d, n, n)):
+        if isinstance(x, np.ndarray):
+            out[..., rows : rows + n, cols : cols + n] = x
     return out
 
 
@@ -347,13 +335,11 @@ def nijenhuis(J: TensorField, p):
 
 
 def pullback_metric(T: AffineAutomorphism, g: TensorField, p):
-    """(T^* g)(p) = A^T g(Ap + b) A; a batch names its first image out of the domain."""
+    """(T^* g)(p) = A^T g(Ap + b) A for a covariant 2-tensor g."""
     image = T(p)
     try:
         gi = g(image)
     except DomainError as exc:
-        for q in p if np.ndim(p) > 1 else ():
-            pullback_metric(T, g, q)
         raise DomainError(f"image point {image} left the domain: {exc}") from exc
     return T.A.T @ gi @ T.A
 
@@ -373,11 +359,17 @@ def invariance_defect(maps, points, covariant=(), endomorphisms=(), factor=1.0, 
     points = np.asarray(points, dtype=float)
     residual = Residual()
     for T in maps:
-        for S in covariant:
-            defect, scale = pullback_defect(T, S, points, factor)
-            residual.add(np.max(defect / np.maximum(floor, scale)))
-        for K in endomorphisms:
-            residual.add_max_abs(np.linalg.solve(T.A, K(T(points)) @ T.A) - K(points))
+
+        def at(p, T=T):
+            r = Residual()
+            for S in covariant:
+                defect, scale = pullback_defect(T, S, p, factor)
+                r.add(np.max(defect / np.maximum(floor, scale)))
+            for K in endomorphisms:
+                r.add_max_abs(np.linalg.solve(T.A, K(T(p)) @ T.A) - K(p))
+            return r.value
+
+        residual.add(_first_failure(at, points))
     return residual.value
 
 
@@ -385,13 +377,15 @@ def flow_defect(X: VectorFieldSpec, points, covariant=(), endomorphisms=(), fact
     """Max over points p of |L_X S - factor S| for each covariant 2-tensor
     field S, and of |L_X K| for each endomorphism field K: the flow
     counterpart of `invariance_defect`, absolute."""
-    points = np.asarray(points, dtype=float)
-    residual = Residual()
-    for S in covariant:
-        residual.add_max_abs(lie_derivative_metric(S, X, points) - factor * S(points))
-    for K in endomorphisms:
-        residual.add_max_abs(lie_derivative_endomorphism(K, X, points))
-    return residual.value
+    def at(p):
+        residual = Residual()
+        for S in covariant:
+            residual.add_max_abs(lie_derivative_metric(S, X, p) - factor * S(p))
+        for K in endomorphisms:
+            residual.add_max_abs(lie_derivative_endomorphism(K, X, p))
+        return residual.value
+
+    return _first_failure(at, np.asarray(points, dtype=float))
 
 
 def require_isometry(base, autos, endomorphisms=()):
@@ -405,6 +399,17 @@ def require_isometry(base, autos, endomorphisms=()):
                 f"linear part {T.A.tolist()} does not preserve the base structure "
                 f"(defect {defect:.2e})"
             )
+
+
+def _first_failure(at, points):
+    """`at(points)` over a batch; where it raises, the error that the first
+    failing point raises alone, as a loop over the points would."""
+    try:
+        return at(points)
+    except HessgeoError:
+        for p in points if np.ndim(points) > 1 else ():
+            at(p)
+        raise
 
 
 class Residual:
@@ -428,7 +433,5 @@ class Residual:
 
 
 def is_positive_definite(M, tol=1e-10):
-    """Whether M is positive definite: a bool, or one per matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    definite = np.min(np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2))), axis=-1) > tol
-    return definite if definite.ndim else bool(definite)
+    return bool(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) > tol)

@@ -482,9 +482,11 @@ def test_cone_check_builds_each_structure_once(monkeypatch):
 
 @pytest.mark.parametrize("geometry", ["orthant2", "lorentz3", "spd2"])
 def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
-    # each field evaluation walks the expression tree once for its whole
-    # sample, and the domain sampler once per inequality for a chunk of draws:
-    # no walk at a single point, so a check that loops over points fails this
+    # check_hessian, the norm tests of check_selfsimilar and
+    # norm_homothety_defect walk the expression tree at one point at a time
+    # (950 walks), every other field evaluation once for its whole sample, and
+    # the domain sampler tests each draw alone: a check that changes how it
+    # walks its points fails this
     walks = {"jet3": [], "__call__": []}
     for name, rows in walks.items():
         original = getattr(ScalarExpression, name)
@@ -496,7 +498,7 @@ def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
         monkeypatch.setattr(ScalarExpression, name, counted)
     run_check(geometry, ["all"], None, 42)
     counts = {name: (len(rows), sum(rows), rows.count(1)) for name, rows in walks.items()}
-    assert counts == {"jet3": (141, 6740, 0), "__call__": (40, 2480, 0)}
+    assert counts == {"jet3": (1080, 6740, 950), "__call__": (2480, 2480, 2480)}
 
 
 def test_special_kahler_check_assembles_one_frame_per_point(monkeypatch):

@@ -141,7 +141,7 @@ def test_bad_configs():
         )
 
 
-# -- batched sampling and error paths: literals taken from the point-by-point code
+# -- sampling and the first failing sample: literals pinned from the point-by-point code
 
 
 @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ def test_bad_configs():
         ),
     ],
 )
-def test_chunked_sampling_draws_the_point_by_point_samples(name, first_rows, total):
+def test_sampling_draws_the_pinned_points(name, first_rows, total):
     points = preset(name).can.sample_points()
     assert points.shape == (100, len(first_rows[0]))
     assert points[:2].tolist() == first_rows
@@ -178,8 +178,8 @@ def test_chunked_sampling_draws_the_point_by_point_samples(name, first_rows, tot
 
 
 def test_sampling_where_an_inequality_raises_keeps_the_other_points():
-    # ln(x1) raises at the draws with x1 <= 0: they are outside, and the other
-    # draws of their chunk are decided as alone
+    # ln(x1) raises at the draws with x1 <= 0: they are outside, and the
+    # draws after them are decided as before
     config = {"dim": 2, "potential": "x1^2+x2^2", "domain": ["ln(x1)"], "samples": 20}
     points = make_hessian_structure({**config, "box": [[-1, 3], [-1, 1]]}).sample_points()
     assert points.shape == (20, 2)
@@ -206,13 +206,13 @@ def test_sampling_gives_up_after_the_same_misses_in_a_row():
         strip.sample(50, np.random.default_rng([42, 0]), max_tries=6)
 
 
-def cubic_structure():
+def cubic_structure(potential="x1^3+x2^2"):
     """Hess(x1^3 + x2^2) = diag(6 x1, 2): indefinite at x1 < 0, first at the
     tenth sample; the first two have x1 > 0."""
     return HessianStructure(
         name="cubic",
         dim=2,
-        potential=parse_expression("x1^3+x2^2", ["x1", "x2"]),
+        potential=parse_expression(potential, ["x1", "x2"]),
         domain=Domain((), np.array([[-0.5, 1.0], [0.5, 1.5]])),
         seed=4,
     )
@@ -229,3 +229,16 @@ def test_batched_checks_name_the_first_failing_sample():
     with pytest.raises(NonpositiveNorm) as error:
         check_selfsimilar(s, xi)
     assert str(error.value) == "g(xi, xi) = -1.40076672814217 at [-0.23346112  1.10885162]"
+
+
+def test_a_later_domain_error_does_not_hide_an_earlier_failing_sample():
+    # ln(x2 - 0.55) raises first at the 26th sample (x2 = 0.542), after the
+    # tenth, where the Hessian and g(xi, xi) = 6 x1 are already negative
+    s = cubic_structure("x1^3+x2^2-ln(x2-0.55)")
+    assert np.all(s.sample_points()[:25, 1] > 0.55) and s.sample_points()[25, 1] < 0.55
+    with pytest.raises(NotPositiveDefinite) as error:
+        check_hessian(s)
+    assert str(error.value) == "Hess(cubic) not positive definite at [-0.23346112  1.10885162]"
+    xi = VectorFieldSpec.from_affine(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    with pytest.raises(NonpositiveNorm, match=r"^g\(xi, xi\) = -1\.4007667281421\d* at \[-0\.23"):
+        check_selfsimilar(s, xi)

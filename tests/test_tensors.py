@@ -361,3 +361,29 @@ def test_a_nan_at_one_point_makes_the_batched_residuals_nan():
     assert not any(CheckResult("c", "claim", d, 1e-6, len(points)).passed for d in defects)
     # without the NaN point the same residuals are finite: Id is invariant
     assert invariance_defect([AffineAutomorphism.linear(np.eye(2))], points[:3], (field,)) == 0.0
+
+
+def _raises_at(bad_point, name):
+    """The field Id, with its zero derivative, that raises `DomainError` at `bad_point`."""
+    def value(p):
+        if np.any(np.all(p == bad_point, axis=-1)):
+            raise DomainError(f"{name} fails at {bad_point}")
+        return np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2))
+
+    return TensorField(2, value, lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)))
+
+
+def test_batched_residuals_raise_the_error_of_the_first_failing_point():
+    # the first field fails at the sixth point and the second at the second:
+    # a loop over the points meets the second field's failure first
+    points = preset("orthant2").con.sample_points(10)
+    fields = (_raises_at(points[5], "first field"), _raises_at(points[1], "second field"))
+    identity, X = AffineAutomorphism.linear(np.eye(2)), VectorFieldSpec.from_affine(np.eye(2))
+    for residual in (
+        lambda: invariance_defect([identity], points, fields),
+        lambda: invariance_defect([identity], points, endomorphisms=fields),
+        lambda: flow_defect(X, points, fields),
+        lambda: flow_defect(X, points, endomorphisms=fields),
+    ):
+        with pytest.raises(DomainError, match=r"^second field fails at"):
+            residual()
