@@ -12,7 +12,6 @@ same arithmetic; only the dtype and the domain guards differ.
 
 from __future__ import annotations
 
-import cmath
 
 import numpy as np
 
@@ -153,7 +152,7 @@ class Jet:
         g = self.gradient
         gg = g[..., :, None] * g[..., None, :]
         t = (
-            c3[2] * np.einsum("...i,...j,...k->...ijk", g, g, g)
+            c3[2] * (gg[..., None] * g[..., None, None, :])
             + c2[2] * _sym3(self.hessian, g)
             + c1[2] * self.third
         )
@@ -226,9 +225,7 @@ class Jet:
 
     def finite(self):
         """This jet, after checking that its values and derivatives are finite."""
-        v = self.value
         arrays = () if self.gradient is None else (self.gradient, self.hessian, self.third)
-        finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)
-        if not (finite and all(np.isfinite(a).all() for a in arrays)):
+        if not (np.isfinite(self.value).all() and all(np.isfinite(a).all() for a in arrays)):
             raise Overflow("non-finite value or derivative")
         return self

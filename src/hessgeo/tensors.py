@@ -162,12 +162,9 @@ class TensorField:
     @classmethod
     def constant(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
-        n = matrix.shape[0]
-
-        def at_each_point(a):
-            return lambda p: np.broadcast_to(a, p.shape[:-1] + a.shape)
-
-        return cls(n, at_each_point(matrix), at_each_point(np.zeros((n, n, n))))
+        zero = np.zeros(matrix.shape[:1] + matrix.shape)
+        each = [lambda p, a=a: np.broadcast_to(a, p.shape[:-1] + a.shape) for a in (matrix, zero)]
+        return cls(len(matrix), *each)
 
     def __call__(self, p):
         return self.func(np.asarray(p, dtype=float))
@@ -176,11 +173,6 @@ class TensorField:
         if self.dfunc is None or _FINITE_DIFFERENCES.get():
             return fd_tensor_derivative(self.func, p)
         return self.dfunc(np.asarray(p, dtype=float))
-
-
-def _apply(A, p):
-    """A p at each point, with the bits of A @ p at a single point."""
-    return (A @ np.asarray(p, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,7 @@ class VectorFieldSpec:
         return cls(A, np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float))
 
     def value(self, p):
-        return _apply(self.A, p) + self.b
+        return (self.A @ np.asarray(p, dtype=float)[..., None])[..., 0] + self.b
 
     def jacobian(self, p):
         """J[i, k] = d_k xi^i."""
@@ -224,7 +216,7 @@ class AffineAutomorphism:
         return cls(A, np.zeros(A.shape[0]))
 
     def __call__(self, p):
-        return _apply(self.A, p) + self.b
+        return (self.A @ np.asarray(p, dtype=float)[..., None])[..., 0] + self.b
 
 
 # -- operations ------------------------------------------------------------
@@ -234,12 +226,22 @@ def blocks(a, b, c, d):
     """[[a, b], [c, d]] over the last two axes.  The blocks are real numpy
     arrays of one shape: (n, n) matrices, or stacks (..., n, n) of derivative
     slices.  A block given as 0 (anything but an array) is zero and skipped."""
-    given = [x for x in (a, b, c, d) if isinstance(x, np.ndarray)]
-    n = given[0].shape[-1]
-    out = np.zeros(given[0].shape[:-2] + (2 * n, 2 * n))
-    for x, rows, cols in ((a, 0, 0), (b, 0, n), (c, n, 0), (d, n, n)):
-        if isinstance(x, np.ndarray):
-            out[..., rows : rows + n, cols : cols + n] = x
+    given = (
+        a if isinstance(a, np.ndarray)
+        else b if isinstance(b, np.ndarray)
+        else c if isinstance(c, np.ndarray)
+        else d
+    )
+    n = given.shape[-1]
+    out = np.zeros(given.shape[:-2] + (2 * n, 2 * n))
+    if isinstance(a, np.ndarray):
+        out[..., :n, :n] = a
+    if isinstance(b, np.ndarray):
+        out[..., :n, n:] = b
+    if isinstance(c, np.ndarray):
+        out[..., n:, :n] = c
+    if isinstance(d, np.ndarray):
+        out[..., n:, n:] = d
     return out
 
 
@@ -377,6 +379,7 @@ def flow_defect(X: VectorFieldSpec, points, covariant=(), endomorphisms=(), fact
     """Max over points p of |L_X S - factor S| for each covariant 2-tensor
     field S, and of |L_X K| for each endomorphism field K: the flow
     counterpart of `invariance_defect`, absolute."""
+
     def at(p):
         residual = Residual()
         for S in covariant:
