@@ -6,8 +6,11 @@ the structure: Darboux coordinates are q = (u, v) = (Re z, Re F'(z)), the
 metric is the push-forward of Im(F_ij) dz^i dz*^j and the complex structure
 is the push-forward of multiplication by sqrt(-1).  Recovering z from q needs
 a Newton inversion of Re F'(u + i y) = v in the m unknowns y = Im z (u = Re z
-is exact); derivatives of the pushed-forward tensors are available
-analytically through implicit differentiation with the third-order jets of F.
+is exact).  At each Darboux point two bundles hold the tensors: the values
+(z, g, I), after one Newton inversion on order-2 jets of F, and the derivatives
+(dg, dI), by implicit differentiation with one order-3 jet of F at the z the
+values hold.  A frame query reads the values alone, so it computes no third
+derivative of F.
 
 On T*M = M x (R^{2m})*, with the flat splitting, the frame is
 
@@ -98,8 +101,8 @@ class Prepotential:
         w = np.asarray(w, dtype=float)
         return w[: self.m] + 1j * w[self.m :]
 
-    def jets(self, z):
-        return self.F.jet3(np.asarray(z, dtype=np.complex128))
+    def jets(self, z, order=3):
+        return self.F.jet3(np.asarray(z, dtype=np.complex128), order)
 
     def sample_z(self, count, rng):
         lo, hi = self.zbox[:, 0], self.zbox[:, 1]
@@ -170,14 +173,15 @@ class SpecialKahlerStructure:
 
 
 def _newton_invert(prep: Prepotential, q):
-    """Solve Re F'(u + i y) = v for y; returns z = u + i y and the jets of F there."""
+    """Solve Re F'(u + i y) = v for y, on order-2 jets of F; returns
+    z = u + i y and the order-2 jets there."""
     m = prep.m
     q = np.asarray(q, dtype=float)
     u, v = q[:m], q[m:]
     y = np.array(prep.center_z().imag, dtype=float)
     scale = max(1.0, float(np.max(np.abs(v))))
     for _ in range(NEWTON_MAX_ITER):
-        jets = prep.jets(u + 1j * y)
+        jets = prep.jets(u + 1j * y, order=2)
         r = jets.gradient.real - v
         if np.max(np.abs(r)) < NEWTON_TOL * scale:
             return u + 1j * y, jets
@@ -190,24 +194,39 @@ def _newton_invert(prep: Prepotential, q):
     raise NewtonDivergence(q)
 
 
-def _tensors_at_z(prep: Prepotential, z, jets):
-    """(g, I, dg, dI) in Darboux coordinates at the point with complex
-    coordinate z, from the jets of F there; dg and dI are stacked over k."""
-    m = prep.m
-    N, R = jets.hessian.imag, jets.hessian.real
-    J = standard_symplectic(m)
-    T = blocks(np.eye(m), 0, R, -N)
+def _inverse(matrix, what, coordinate, point):
+    """matrix^{-1}, or `SingularMetric("<what> singular at <coordinate> = <point>")`."""
     try:
-        Tinv = np.linalg.inv(T)
-        Ninv = np.linalg.inv(N)
+        return np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"Im F'' singular at z = {z}") from exc
-    G = blocks(N, 0, 0, N)
-    g = Tinv.T @ G @ Tinv
-    Imat = T @ J @ Tinv
+        raise SingularMetric(f"{what} singular at {coordinate} = {point}") from exc
+
+
+def _darboux_jacobian(z, jets):
+    """T = d(u, v)/d(Re z, Im z), its inverse and G = diag(N, N), from F'' at z."""
+    N, R = jets.hessian.imag, jets.hessian.real
+    T = blocks(np.eye(len(z)), 0, R, -N)
+    return T, _inverse(T, "Im F''", "z", z), blocks(N, 0, 0, N)
+
+
+def _values_at_z(z, jets):
+    """(z, g, I) in Darboux coordinates at the point with complex coordinate
+    z, from the order-2 jets of F there."""
+    T, Tinv, G = _darboux_jacobian(z, jets)
+    return z, Tinv.T @ G @ Tinv, T @ standard_symplectic(len(z)) @ Tinv
+
+
+def _derivatives_at_z(prep: Prepotential, z):
+    """(dg, dI) stacked over k at z, by implicit differentiation with one
+    order-3 jet of F there."""
+    jets = prep.jets(z)
+    T, Tinv, G = _darboux_jacobian(z, jets)
+    N, R = jets.hessian.imag, jets.hessian.real
+    Ninv = _inverse(N, "Im F''", "z", z)
+    J = standard_symplectic(prep.m)
     # implicit differentiation: dz/du = Id + i N^{-1} R, dz/dv = -i N^{-1};
     # stored as dz[k, l] = dz_l / dq_k, hence the transpose
-    dz = np.concatenate([np.eye(m) + 1j * (Ninv @ R).T, -1j * Ninv.T])
+    dz = np.concatenate([np.eye(prep.m) + 1j * (Ninv @ R).T, -1j * Ninv.T])
     dF2 = np.einsum("kl,ijl->kij", dz, jets.third)  # d_k F_ij over the 2m chart
     dN, dR = dF2.imag, dF2.real
     dT = blocks(0, 0, dR, -dN)
@@ -215,7 +234,7 @@ def _tensors_at_z(prep: Prepotential, z, jets):
     dG = blocks(dN, 0, 0, dN)
     dg = np.transpose(dTinv, (0, 2, 1)) @ G @ Tinv + Tinv.T @ dG @ Tinv + Tinv.T @ G @ dTinv
     dI = dT @ J @ Tinv + T @ J @ dTinv
-    return g, Imat, dg, dI
+    return dg, dI
 
 
 def special_kahler_from_prepotential(
@@ -227,8 +246,10 @@ def special_kahler_from_prepotential(
         jets = prep.jets(z)
         return np.concatenate([z.real, jets.gradient.real])
 
-    # (g, I, dg, dI) at a Darboux point q: one Newton inversion per point
-    tensors = point_bundle(lambda q: _tensors_at_z(prep, *_newton_invert(prep, q)))
+    # at a Darboux point q, two bundles: the values (z, g, I) after one Newton
+    # inversion, and the derivatives (dg, dI) at the z the values hold
+    values = point_bundle(lambda q: _values_at_z(*_newton_invert(prep, q)))
+    derivatives = point_bundle(lambda q: _derivatives_at_z(prep, values(q)[0]))
 
     def sampler(count, rng):
         return np.array([q_of_z(z) for z in prep.sample_z(count, rng)])
@@ -236,15 +257,15 @@ def special_kahler_from_prepotential(
     structure = SpecialKahlerStructure(
         name=name,
         m=m,
-        metric=TensorField.from_bundle(2 * m, tensors, 0, 2),
-        complex_structure=TensorField.from_bundle(2 * m, tensors, 1, 3),
+        metric=TensorField(2 * m, lambda q: values(q)[1], lambda q: derivatives(q)[0]),
+        complex_structure=TensorField(2 * m, lambda q: values(q)[2], lambda q: derivatives(q)[1]),
         sampler=sampler,
         prepotential=prep,
         seed=seed,
         samples=samples,
     )
     for z in prep.sample_z(25, structure.rng(7)):
-        if not is_positive_definite(prep.jets(z).hessian.imag):
+        if not is_positive_definite(prep.jets(z, order=2).hessian.imag):
             raise NotPositiveDefinite(z, "Im F'' not positive definite")
     require("prepotential structure", check_special_kahler_axioms(structure, samples=25))
     return structure
@@ -371,14 +392,11 @@ class HyperKahlerFrame(NamedTuple):
 
 def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame:
     """Frame matrices at (q, p); all tensors are independent of p."""
-    g = sk.metric(np.asarray(q, dtype=float))
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at {q}") from exc
-    I = sk.complex_structure(np.asarray(q, dtype=float))
+    q = np.asarray(q, dtype=float)
+    g, I = sk.metric(q), sk.complex_structure(q)
+    ginv = _inverse(g, "metric", "q", q)
     w = I.T @ g
-    winv = np.linalg.inv(w)
+    winv = _inverse(w, "w = I^T g", "q", q)
     I1 = blocks(I, 0, 0, I.T)
     I2 = blocks(0, -winv, w, 0)
     return HyperKahlerFrame(blocks(g, 0, 0, ginv), I1, I2, I1 @ I2)
@@ -561,7 +579,8 @@ def check_conformal_hyperkahler(ss: SelfsimilarHessianStructure, samples=None) -
             "homothetic fields with translation are not supported on T*M"
         )
     w = sk.omega_constant()
-    X = lift_field(ss.xi, w @ ss.xi.A @ np.linalg.inv(w), np.zeros(sk.dim))
+    winv = _inverse(w, "w = I^T g = lambda Omega", "lambda", sk.omega_scale)
+    X = lift_field(ss.xi, w @ ss.xi.A @ winv, np.zeros(sk.dim))
     qs = sk.sample_points(samples)
     pts = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame

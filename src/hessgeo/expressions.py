@@ -225,7 +225,7 @@ def _eval(node, env, real):
         (a, b), exponent = [_eval(arg, env, real) for arg in node.args], node.args[1]
     else:
         return getattr(_eval(node.args[0], env, real), node.name)()  # ln, exp or sqrt
-    # exp(b ln a) when the exponent's subtree holds a variable, in both passes
+    # exp(b ln a) when the exponent's subtree holds a variable, in every pass
     # and at every point alike; otherwise a power with the exponent's number
     return a ** (b if _holds_variable(exponent) else b.value)
 
@@ -247,35 +247,36 @@ class ScalarExpression:
 
     def __call__(self, point):
         """Plain evaluation, a value-only pass: a number, or an array (...)."""
-        value = self._evaluate(point, derivatives=False).value
+        value = self._evaluate(point, 0).value
         return value if isinstance(value, np.ndarray) else float(value) if self.real else complex(value)
 
-    def jet3(self, point):
-        """The `Jet`: value, gradient, Hessian and third derivatives."""
-        return self._evaluate(point, derivatives=True)
+    def jet3(self, point, order=3):
+        """The `Jet` truncated at `order` (0 to 3): value, gradient, Hessian and
+        third derivatives, those past `order` None and never computed."""
+        return self._evaluate(point, order)
 
-    def _evaluate(self, point, derivatives):
+    def _evaluate(self, point, order):
         """One pass at a point (n,) or at all points (..., n), whose variables
-        carry derivative arrays only with `derivatives`; a float range error is
-        an `Overflow`, an error in a batch the one its first failing point raises."""
+        carry derivative arrays to `order`; a float range error is an
+        `Overflow`, an error in a batch the one its first failing point raises."""
         point = np.asarray(point, dtype=float if self.real else complex)
         n, batch = len(self.variables), point.shape[:-1]
         env = {}
         for k, name in enumerate(self.variables):
             x = point[..., k] if batch else float(point[k]) if self.real else complex(point[k])
-            env[name] = Jet.variable(x, k, n, self.real) if derivatives else Jet(x, real=self.real)
+            env[name] = Jet.variable(x, k, n, self.real, order) if order else Jet(x, real=self.real)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 jet = _eval(self.ast, env, self.real).finite()
         except (ArithmeticError, DomainError, Overflow) as exc:
             for row in point if batch else ():
-                self._evaluate(row, derivatives)
+                self._evaluate(row, order)
             if isinstance(exc, ArithmeticError):  # Python's or numpy's float range error
                 raise Overflow(f"non-finite value: {exc}") from None
             raise
-        if jet.gradient is None and (derivatives or batch and not np.ndim(jet.value)):
+        if jet.gradient is None and (order or batch and not np.ndim(jet.value)):
             value = np.full(batch, jet.value) if batch else jet.value
-            jet = Jet.constant(value, n, self.real) if derivatives else Jet(value, real=self.real)
+            jet = Jet.constant(value, n, self.real, order) if order else Jet(value, real=self.real)
         return jet
 
 

@@ -309,7 +309,7 @@ def field_from_config(config, structure: HessianStructure) -> Optional[VectorFie
     if len(components) != dim:
         raise ConfigError(f"field must have {dim} components")
     for p in structure.sample_points(20, salt=1):
-        jets = [c.jet3(p) for c in components]
+        jets = [c.jet3(p, order=2) for c in components]
         if np.max(np.abs([jet.hessian for jet in jets])) > 1e-10:
             raise ConfigError("field is not affine (component Hessians do not vanish)")
         values = np.array([jet.value for jet in jets])

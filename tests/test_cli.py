@@ -377,12 +377,21 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         # inside the domain, but 2/x^3 and x^2 leave the float range
         (None, ["eval", "orthant2", "g", "--at=1e-120,1"], "non-finite value"),
         (None, ["eval", "orthant2", "g", "--at=1e300,1"], "non-finite value"),
+        # w = I^T g is singular: at every point for I = 0, and as lambda Omega,
+        # lambda = 0, for I = Id
+        ({**SK_CONFIG, "I": [["0", "0"], ["0", "0"]]}, CHECK_CFG, "w = I^T g singular at q = "),
+        (
+            {**SK_CONFIG, "I": [["1", "0"], ["0", "1"]]},
+            CHECK_CFG,
+            "w = I^T g = lambda Omega singular at lambda = 0.0",
+        ),
     ],
     ids=[
         "not-json", "not-an-object", "negative-seed", "eval-negative-seed",
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
+        "sk-zero-I", "sk-identity-I",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):

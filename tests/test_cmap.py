@@ -5,9 +5,10 @@ from hessgeo import cmap
 from hessgeo.cmap import (
     Prepotential,
     FIBER_SALT,
+    _derivatives_at_z,
     _frame_fields,
     _newton_invert,
-    _tensors_at_z,
+    _values_at_z,
     build_hyperkahler,
     check_conformal_hyperkahler,
     check_hyperkahler,
@@ -68,7 +69,7 @@ def test_cubic_metric_oracle():
     # q = (Re z, Re F') is (T^-1)^T diag(N, N) T^-1 with T = [[1, 0], [0, -1]]
     prep = cubic_prepotential()
     z = np.array([1j])
-    g, I, dg, dI = _tensors_at_z(prep, z, prep.jets(z))
+    _, g, I = _values_at_z(z, prep.jets(z, order=2))
     assert g == pytest.approx(np.eye(2))
     assert I @ I == pytest.approx(-np.eye(2))
     assert I.T @ g @ I == pytest.approx(g)
@@ -78,13 +79,13 @@ def test_analytic_derivatives_match_fd():
     prep = conic_prepotential()
     z = np.array([1.02 + 0.01j, 0.97 - 0.02j])
     q = np.concatenate([z.real, prep.jets(z).gradient.real])
-    g, I, dg, dI = _tensors_at_z(prep, z, prep.jets(z))
+    dg, dI = _derivatives_at_z(prep, z)
 
     def g_of(qq):
-        return _tensors_at_z(prep, *_newton_invert(prep, qq))[0]
+        return _values_at_z(*_newton_invert(prep, qq))[1]
 
     def I_of(qq):
-        return _tensors_at_z(prep, *_newton_invert(prep, qq))[1]
+        return _values_at_z(*_newton_invert(prep, qq))[2]
 
     assert dg == pytest.approx(fd_tensor_derivative(g_of, q), abs=1e-6)
     assert dI == pytest.approx(fd_tensor_derivative(I_of, q), abs=1e-6)
@@ -267,6 +268,35 @@ def test_one_newton_inversion_per_darboux_point(monkeypatch):
     assert len(calls) == 1
     build_hyperkahler(sk, q, np.ones(sk.dim))
     assert len(calls) == 1
+
+
+def test_a_frame_query_computes_no_third_derivative(monkeypatch):
+    # the frame reads g and I alone: Newton and the values take order-2 jets
+    # of F; the first derivative read at q takes one order-3 jet, at the
+    # root the values hold
+    sk = special_kahler_preset("sk_conic", samples=5)
+    q = sk.sample_points(1, salt=44)[0]
+    orders, inversions = [], []
+    jets, invert = Prepotential.jets, cmap._newton_invert
+
+    def counted_jets(prep, z, order=3):
+        orders.append(order)
+        return jets(prep, z, order)
+
+    def counted_invert(prep, q):
+        inversions.append(q)
+        return invert(prep, q)
+
+    monkeypatch.setattr(Prepotential, "jets", counted_jets)
+    monkeypatch.setattr(cmap, "_newton_invert", counted_invert)
+    build_hyperkahler(sk, q)
+    assert orders and max(orders) <= 2
+    assert len(inversions) == 1
+    orders.clear()
+    sk.metric.derivative(q)
+    sk.complex_structure.derivative(q)
+    assert orders == [3]
+    assert len(inversions) == 1
 
 
 def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):

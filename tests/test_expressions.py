@@ -157,14 +157,16 @@ def test_jet_matches_fd_for_transcendental():
     ],
 )
 def test_plain_evaluation_and_jets_raise_alike(text, x):
-    # one set of domain rules: the value-only pass raises what the full pass does
+    # one set of domain rules: the value-only pass and the order-2 pass raise
+    # what the full pass does
     e = parse_expression(text, ["x1"])
-    with pytest.raises(HessgeoError) as plain:
-        e([x])
     with pytest.raises(HessgeoError) as jet:
         e.jet3([x])
-    assert type(plain.value) is type(jet.value)
-    assert str(plain.value) == str(jet.value)
+    for evaluate in (e, lambda p: e.jet3(p, order=2)):
+        with pytest.raises(HessgeoError) as truncated:
+            evaluate([x])
+        assert type(truncated.value) is type(jet.value)
+        assert str(truncated.value) == str(jet.value)
 
 
 @pytest.mark.parametrize("text", ["2^x1", "pow(2, x1)"])

@@ -120,3 +120,51 @@ def test_zero_and_negative_integer_powers():
     assert inverse_cube.value == pytest.approx(0.125)
     assert inverse_cube.gradient[0] == pytest.approx(-3.0 / 16.0)
     assert inverse_cube.third[0, 0, 0] == pytest.approx(-60.0 / 2.0**6)
+
+
+# -- truncation: a pass of order k computes the first k derivatives alone ----
+
+TRUNCATION_CASES = [
+    ("-ln(x3^2-x1^2-x2^2)", "real", [0.3, -0.4, 2.0], 0.2),
+    ("exp(x1*x2)/sqrt(x2)+ln(x1+x2)+x1^2.5+2^x3", "real", [0.8, 1.3, 0.5], 0.2),
+    ("i*z2^3/z1", "complex", [1.0 + 0.02j, 1.05 - 0.01j], 0.05),
+    ("exp(z1*z2)+z1^0.5/z2-pow(z2, 3)", "complex", [0.9 + 0.3j, 1.1 - 0.2j], 0.1),
+]
+
+
+@pytest.mark.parametrize("batch", [None, 100], ids=["one-point", "batch-100"])
+@pytest.mark.parametrize(
+    "text, mode, center, spread", TRUNCATION_CASES, ids=["lorentz", "real-mixed", "conic", "complex-mixed"]
+)
+def test_truncated_jets_reproduce_the_order_3_pass(text, mode, center, spread, batch):
+    center = np.asarray(center)
+    letter = "z" if mode == "complex" else "x"
+    e = parse_expression(text, [f"{letter}{k + 1}" for k in range(len(center))], mode)
+    points = center
+    if batch:
+        rng = np.random.default_rng(5)
+        points = center + spread * rng.uniform(-1.0, 1.0, (batch, len(center)))
+        if mode == "complex":
+            points = points + 1j * spread * rng.uniform(-1.0, 1.0, points.shape)
+    full = e.jet3(points)
+    assert full.third is not None
+    for order, read in ((0, ()), (1, ("gradient",)), (2, ("gradient", "hessian"))):
+        jet = e.jet3(points, order=order)
+        assert np.array_equal(jet.value, full.value)
+        for field in ("gradient", "hessian", "third"):
+            if field in read:
+                assert np.array_equal(getattr(jet, field), getattr(full, field)), (order, field)
+            else:
+                assert getattr(jet, field) is None, (order, field)
+    assert np.array_equal(e(points), full.value)
+
+
+def test_an_order_2_pass_does_not_fail_on_the_third_derivative_it_skips():
+    # x^-100 at 0.0011: value, gradient and Hessian lie below 1e306, the
+    # third derivative above the float range
+    e = parse_expression("x1^-100", ["x1"])
+    jet = e.jet3([0.0011], order=2)
+    assert jet.hessian[0, 0] == pytest.approx(10100 * 0.0011**-102, rel=1e-12)
+    with pytest.raises(Overflow):
+        e.jet3([0.0011])
+
