@@ -33,7 +33,6 @@ from .jets import Jet
 from .report import CheckResult, VerificationReport, __version__
 from .tensors import (
     AffineAutomorphism,
-    Residual,
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,

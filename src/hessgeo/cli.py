@@ -20,7 +20,7 @@ from . import cones as cones_mod
 from . import cmap as cmap_mod
 from . import rmap as rmap_mod
 from .errors import ConfigError, DomainError, HessgeoError, UnknownPreset
-from .report import CheckResult, VerificationReport, __version__
+from .report import CheckResult, VerificationReport, __version__, measured
 from .structures import (
     Domain,
     HessianStructure,
@@ -33,13 +33,13 @@ from .structures import (
 )
 from .expressions import parse_expression
 from .tensors import (
-    Residual,
     TensorField,
     VectorFieldSpec,
     exterior_derivative_2form,
     finite_differences,
     invariance_defect,
     is_positive_definite,
+    max_abs,
 )
 
 PRESETS = cones_mod.PRESET_NAMES + cmap_mod.SK_PRESET_NAMES
@@ -149,14 +149,13 @@ def rmap_suite(
             rmap_mod.check_invariance_psi(lift, automorphisms, fiber_shifts, samples)
         )
     if noncone_point is not None:
-        dw = exterior_derivative_2form(lift.omega, noncone_point)
+        dw = exterior_derivative_2form(lift.omega, noncone_point[None])
         entries.append(
-            CheckResult(
+            measured(
                 "noncone_exterior_value",
                 "max |d(omega)| at the marked point equals 1 exactly",
-                abs(float(np.max(np.abs(dw))) - 1.0),
                 1e-3,
-                1,
+                np.abs(max_abs(dw, 3) - 1.0),
             )
         )
     return entries
@@ -188,44 +187,33 @@ def cone_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
     entries.append(cones_mod.radiant_law(cone, samples=samples))
     full = cones_mod.automorphism_samples(cone, 10, unimodular=False)
     unim = cones_mod.automorphism_samples(cone, 10, unimodular=True)
-    res_full = invariance_defect(full, cone.can.sample_points(20, salt=2), (cone.can.metric,))
-    res_unim = invariance_defect(unim, cone.con.sample_points(20, salt=2), (cone.con.metric,))
-    entries.append(
-        CheckResult(
-            "cone_full_invariance",
-            "g_can is invariant under the sampled full automorphism group",
-            res_full,
-            1e-8,
-            20 * len(full),
-        )
-    )
-    entries.append(
-        CheckResult(
-            "cone_unimodular_invariance",
-            "g_con is invariant under the sampled unimodular automorphisms",
-            res_unim,
-            1e-8,
-            20 * len(unim),
-        )
-    )
     # negative control phrased as an exact value: under x -> 2x the relative
-    # defect of g_con equals 1 - 2^(-n), comfortably above 0.5
-    expected = 1.0 - 2.0 ** (-cone.dim)
-    measured = invariance_defect(
+    # defect of g_con equals 1 - 2^(-n), comfortably above 0.5, at every point
+    scaled = invariance_defect(
         [cones_mod.AffineAutomorphism.linear(2.0 * np.eye(cone.dim))],
         cone.con.sample_points(20, salt=4),
         (cone.con.metric,),
     )
-    entries.append(
-        CheckResult(
+    return entries + [
+        measured(
+            "cone_full_invariance",
+            "g_can is invariant under the sampled full automorphism group",
+            1e-8,
+            invariance_defect(full, cone.can.sample_points(20, salt=2), (cone.can.metric,)),
+        ),
+        measured(
+            "cone_unimodular_invariance",
+            "g_con is invariant under the sampled unimodular automorphisms",
+            1e-8,
+            invariance_defect(unim, cone.con.sample_points(20, salt=2), (cone.con.metric,)),
+        ),
+        measured(
             "cone_negative_control",
             "non-unimodular scaling defect of g_con equals 1 - 2^(-n) > 0.5 exactly",
-            abs(measured - expected),
             1e-8,
-            20,
-        )
-    )
-    return entries
+            np.abs(scaled - (1.0 - 2.0 ** (-cone.dim))),
+        ),
+    ]
 
 
 def cone_conformal_suite(cone: cones_mod.ConePreset, samples=None) -> List[CheckResult]:
@@ -240,20 +228,15 @@ def cone_conformal_suite(cone: cones_mod.ConePreset, samples=None) -> List[Check
     points = cone.con.sample_points(10, salt=13)
     gaps = np.array([np.linalg.norm(T(points)[:, None] - points, axis=-1) for T in unim]).min(0)
     gaps[np.isclose(points[None], points[:, None]).all(axis=-1)] = np.inf  # q close to p
-    reach = Residual().add(np.max(np.min(gaps, axis=1)))
-    entries.append(
-        CheckResult(
-            "orbit_reachability",
-            "closest approach between sampled point pairs under one step of "
-            "the sampled unimodular generators",
-            reach.value,
-            0.0,
-            len(points),
-            status="informational",
-        )
+    reach = measured(
+        "orbit_reachability",
+        "closest approach between sampled point pairs under one step of "
+        "the sampled unimodular generators",
+        0.0,
+        np.min(gaps, axis=1),
+        status="informational",
     )
-    entries.append(_assumed_hypotheses())
-    return entries
+    return entries + [reach, _assumed_hypotheses()]
 
 
 def cmap_suite(sk, samples=None) -> List[CheckResult]:
@@ -421,7 +404,7 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         for s in suites:
             if s not in available:
                 raise ConfigError(f"suite {s!r} does not apply to geometry {name!r}")
-        selected = tuple(suites)
+        selected = tuple(dict.fromkeys(suites))  # each once, in the order given
     report = VerificationReport(geometry=name, seed=obj.seed)
     for suite in selected:
         entries = run_suite(kind, obj, suite, samples)
@@ -454,6 +437,11 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         unknown = sorted(set(tol_overrides) - {e.check_id for e in report.entries})
         if unknown:
             raise ConfigError(f"--tol names checks not in the report: {', '.join(unknown)}")
+        ungated = sorted(
+            set(tol_overrides) - {e.check_id for e in report.entries if e.status == "checked"}
+        )
+        if ungated:
+            raise ConfigError(f"--tol names entries that no tolerance gates: {', '.join(ungated)}")
         for entry in report.entries:
             if entry.check_id in tol_overrides:
                 entry.tolerance = tol_overrides[entry.check_id]

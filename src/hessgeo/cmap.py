@@ -42,7 +42,7 @@ from .errors import (
     UnknownPreset,
 )
 from .expressions import ScalarExpression, parse_expression
-from .report import CheckResult, require
+from .report import CheckResult, measured, require
 from .structures import (
     Domain,
     SelfsimilarHessianStructure,
@@ -51,16 +51,18 @@ from .structures import (
 )
 from .tensors import (
     AffineAutomorphism,
-    Residual,
     TensorField,
     blocks,
     bundle_sample_points,
     exterior_derivative_2form,
+    first_failure,
     flow_defect,
     invariance_defect,
     is_positive_definite,
+    largest,
     lift_automorphisms,
     lift_field,
+    max_abs,
     nijenhuis,
     point_bundle,
     require_isometry,
@@ -437,105 +439,87 @@ def _kahler_form(gc: TensorField, Ik: TensorField) -> TensorField:
     """w_k = I_k^T g_c, differentiated by the product rule."""
     return TensorField(
         gc.dim,
-        lambda x: Ik(x).T @ gc(x),
-        lambda x: np.transpose(Ik.derivative(x), (0, 2, 1)) @ gc(x)
-        + Ik(x).T @ gc.derivative(x),
+        lambda x: Ik(x).swapaxes(-1, -2) @ gc(x),
+        lambda x: Ik.derivative(x).swapaxes(-1, -2) @ gc(x)[..., None, :, :]
+        + Ik(x).swapaxes(-1, -2)[..., None, :, :] @ gc.derivative(x),
     )
 
 
 # -- checks ----------------------------------------------------------------
 
 
+SK_AXIOMS = (
+    ("sk_complex_structure", "I(q)^2 = -Id"),
+    ("sk_hermitian", "g(I., I.) = g"),
+    ("sk_integrable", "Nijenhuis tensor of I vanishes"),
+    ("sk_omega_parallel", "omega = g(I., .) has constant components lambda * Omega"),
+    ("sk_hessian", "d_k g_ij is totally symmetric (g is Hessian for the flat connection)"),
+)
+
+
 def check_special_kahler_axioms(sk: SpecialKahlerStructure, samples=None) -> List[CheckResult]:
-    points = sk.sample_points(samples)
-    n = sk.dim
-    res_sq, res_herm, res_nij, res_omega, res_sym = (Residual() for _ in range(5))
-    w_const = sk.omega_constant()
-    for q in points:
-        g = sk.metric(q)
-        I = sk.complex_structure(q)
-        res_sq.add_max_abs(I @ I + np.eye(n))
-        res_herm.add_max_abs(I.T @ g @ I - g)
-        res_nij.add_max_abs(nijenhuis(sk.complex_structure, q))
-        res_omega.add_max_abs(I.T @ g - w_const)
-        res_sym.add(symmetry_defect(sk.metric.derivative(q)))
+    """The `SK_AXIOMS` at each sample; raises `NotPositiveDefinite` at the
+    first sample where g is not positive definite."""
+    w_const, eye = sk.omega_constant(), np.eye(sk.dim)
+
+    def defects(q):
+        g, I = sk.metric(q), sk.complex_structure(q)
+        IT = I.swapaxes(-1, -2)
+        out = (
+            max_abs(I @ I + eye),
+            max_abs(IT @ g @ I - g),
+            max_abs(nijenhuis(sk.complex_structure, q), 3),
+            max_abs(IT @ g - w_const),
+            symmetry_defect(sk.metric.derivative(q)),
+        )
         if not is_positive_definite(g):
             raise NotPositiveDefinite(q)
-    count = len(points)
-    tolerance = 1e-6
-    return [
-        CheckResult("sk_complex_structure", "I(q)^2 = -Id", res_sq.value, tolerance, count),
-        CheckResult("sk_hermitian", "g(I., I.) = g", res_herm.value, tolerance, count),
-        CheckResult(
-            "sk_integrable", "Nijenhuis tensor of I vanishes", res_nij.value, tolerance, count
-        ),
-        CheckResult(
-            "sk_omega_parallel",
-            "omega = g(I., .) has constant components lambda * Omega",
-            res_omega.value,
-            tolerance,
-            count,
-        ),
-        CheckResult(
-            "sk_hessian",
-            "d_k g_ij is totally symmetric (g is Hessian for the flat connection)",
-            res_sym.value,
-            tolerance,
-            count,
-        ),
-    ]
+        return out
+
+    each = first_failure(defects, sk.sample_points(samples))
+    return [measured(check_id, claim, 1e-6, d) for (check_id, claim), d in zip(SK_AXIOMS, each)]
 
 
 def check_hyperkahler(sk: SpecialKahlerStructure, samples=None) -> List[CheckResult]:
     n = sk.dim
     points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    res_quat, res_herm, res_closed, res_shift = (Residual() for _ in range(4))
-    rng = sk.rng(31)
-    for pt in points:
-        gc, (I1, I2, I3) = gc_field(pt), (Ik(pt) for Ik in I_fields)
-        eye = np.eye(2 * n)
-        for Ik in (I1, I2, I3):
-            res_quat.add_max_abs(Ik @ Ik + eye)
-            res_herm.add_max_abs(Ik.T @ gc @ Ik - gc)
-        res_quat.add_max_abs(I1 @ I2 - I3, I2 @ I1 + I3)
-        shift = -1.0 + 2.0 * rng.random(n)
-        shifted = np.concatenate([pt[:n], pt[n:] + shift])
-        res_shift.add_max_abs(gc_field(shifted) - gc, I_fields[2](shifted) - I3)
-    for pt in points[: min(len(points), 20)]:
-        for Ik_field in I_fields:
-            res_closed.add_max_abs(
-                exterior_derivative_2form(_kahler_form(gc_field, Ik_field), pt)
-            )
-    count = len(points)
+    gc, (I1, I2, I3) = gc_field(points), (Ik(points) for Ik in I_fields)
+    eye = np.eye(2 * n)
+    shift = -1.0 + 2.0 * sk.rng(31).random((len(points), n))
+    shifted = np.concatenate([points[:, :n], points[:, n:] + shift], axis=1)
+    closed = largest(
+        *(max_abs(exterior_derivative_2form(_kahler_form(gc_field, Ik), points[:20]), 3)
+          for Ik in I_fields)
+    )
     return [
-        CheckResult(
+        measured(
             "hk_quaternion",
             "I1, I2, I3 = I1 I2 satisfy the quaternion relations",
-            res_quat.value,
             1e-8,
-            count,
+            largest(
+                *(max_abs(Ik @ Ik + eye) for Ik in (I1, I2, I3)),
+                max_abs(I1 @ I2 - I3),
+                max_abs(I2 @ I1 + I3),
+            ),
         ),
-        CheckResult(
+        measured(
             "hk_hermitian",
             "g_c is Hermitian for each of I1, I2, I3",
-            res_herm.value,
             1e-8,
-            count,
+            largest(*(max_abs(Ik.swapaxes(-1, -2) @ gc @ Ik - gc) for Ik in (I1, I2, I3))),
         ),
-        CheckResult(
+        measured(
             "hk_closed_forms",
             "the three Kahler forms g_c(I_k ., .) are closed on T*M",
-            res_closed.value,
             1e-5,
-            min(count, 20),
+            closed,
         ),
-        CheckResult(
+        measured(
             "hk_fiber_shift",
             "the frame is exactly invariant under fiber translations",
-            res_shift.value,
             1e-12,
-            count,
+            largest(max_abs(gc_field(shifted) - gc), max_abs(I_fields[2](shifted) - I3)),
         ),
     ]
 
@@ -549,21 +533,18 @@ def check_invariance_psi_hat(
     """Invariance of the frame under Psi(q, p) = (B q + c, B^{-T} p + u) for
     holomorphic isometries B q + c; they preserve omega = I^T g as well."""
     require_isometry(sk, automorphisms, (sk.complex_structure,))
-    points = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    residual = invariance_defect(
-        lift_automorphisms(automorphisms, lambda A: np.linalg.inv(A).T, fiber_shifts),
-        points,
-        (gc_field,),
-        I_fields,
-        floor=1.0,
-    )
-    return CheckResult(
+    return measured(
         "hk_psi_hat_invariance",
         "the frame is invariant under lifted holomorphic isometries",
-        residual,
         1e-8,
-        len(points) * max(1, len(automorphisms)),
+        invariance_defect(
+            lift_automorphisms(automorphisms, lambda A: np.linalg.inv(A).T, fiber_shifts),
+            bundle_sample_points(sk, samples, 0, FIBER_SALT),
+            (gc_field,),
+            I_fields,
+            floor=1.0,
+        ),
     )
 
 
@@ -584,43 +565,41 @@ def check_conformal_hyperkahler(ss: SelfsimilarHessianStructure, samples=None) -
     qs = sk.sample_points(samples)
     pts = bundle_sample_points(sk, samples, 0, FIBER_SALT)
     gc_field, I_fields = sk.frame
-    base_g = flow_defect(ss.xi, qs, (sk.metric,), factor=2.0)
-    base_I = flow_defect(ss.xi, qs, endomorphisms=(sk.complex_structure,))
-    count = len(pts)
-    tolerance = 1e-5
     return [
-        CheckResult(
-            "chk_base_homothety", "L_xi g = 2 g on the base", base_g, tolerance, len(qs)
+        measured(
+            "chk_base_homothety",
+            "L_xi g = 2 g on the base",
+            1e-5,
+            flow_defect(ss.xi, qs, (sk.metric,), factor=2.0),
         ),
-        CheckResult(
-            "chk_base_holomorphic", "L_xi I = 0 on the base", base_I, tolerance, len(qs)
+        measured(
+            "chk_base_holomorphic",
+            "L_xi I = 0 on the base",
+            1e-5,
+            flow_defect(ss.xi, qs, endomorphisms=(sk.complex_structure,)),
         ),
-        CheckResult(
+        measured(
             "chk_norm_homothety",
             "L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
+            1e-5,
             norm_homothety_defect(ss, pts),
-            tolerance,
-            count,
         ),
-        CheckResult(
+        measured(
             "chk_metric_flow",
             "L_{xi1+xi2} g_chK = 0 for g_chK = g(xi,xi)^{-1} g_c",
+            1e-5,
             flow_defect(X, pts, (conformal_rescaling(ss, gc_field),)),
-            tolerance,
-            count,
         ),
-        CheckResult(
+        measured(
             "chk_complex_structures_flow",
             "L_{xi1+xi2} I_k = 0 for k = 1, 2, 3",
+            1e-5,
             flow_defect(X, pts, endomorphisms=I_fields),
-            tolerance,
-            count,
         ),
-        CheckResult(
+        measured(
             "chk_unscaled_negative_control",
             "without the conformal factor L_{xi1+xi2} g_c = 2 g_c exactly",
+            1e-5,
             flow_defect(X, pts, (gc_field,), factor=2.0),
-            tolerance,
-            count,
         ),
     ]

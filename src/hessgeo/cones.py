@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnknownPreset
 from .expressions import parse_expression
-from .report import CheckResult
+from .report import measured
 from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
 from .tensors import (
     AffineAutomorphism,
@@ -209,30 +209,25 @@ def automorphism_samples(cone: ConePreset, count=20, unimodular=False):
 
 def dilation_law(cone: ConePreset, q, samples=50):
     """Relative defect of lambda_q^* g_con = q^{-n} g_con."""
-    residual = invariance_defect(
-        [AffineAutomorphism.linear(q * np.eye(cone.dim))],
-        cone.con.sample_points(samples),
-        (cone.con.metric,),
-        factor=q ** (-cone.dim),
-    )
-    return CheckResult(
-        check_id=f"dilation_law_q{q}",
-        claim=f"pullback of g_con under x -> {q} x equals {q}^(-n) g_con",
-        residual=residual,
-        tolerance=1e-8,
-        samples=samples,
+    return measured(
+        f"dilation_law_q{q}",
+        f"pullback of g_con under x -> {q} x equals {q}^(-n) g_con",
+        1e-8,
+        invariance_defect(
+            [AffineAutomorphism.linear(q * np.eye(cone.dim))],
+            cone.con.sample_points(samples),
+            (cone.con.metric,),
+            factor=q ** (-cone.dim),
+        ),
     )
 
 
 def radiant_law(cone: ConePreset, samples=50):
-    """Max of ||L_rho g_con + n g_con||_inf over samples."""
-    residual = flow_defect(
-        cone.rho, cone.con.sample_points(samples), (cone.con.metric,), factor=-cone.dim
-    )
-    return CheckResult(
-        check_id="radiant_law",
-        claim="L_rho g_con = -n g_con for the radiant field rho",
-        residual=residual,
-        tolerance=1e-8,
-        samples=samples,
+    """||L_rho g_con + n g_con||_inf at each sample."""
+    points = cone.con.sample_points(samples)
+    return measured(
+        "radiant_law",
+        "L_rho g_con = -n g_con for the radiant field rho",
+        1e-8,
+        flow_defect(cone.rho, points, (cone.con.metric,), factor=-cone.dim),
     )

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List
+
+import numpy as np
 
 from .errors import ConfigError
 
 __version__ = "0.1.0"
 
-__all__ = ["CheckResult", "VerificationReport", "require", "__version__"]
+__all__ = ["CheckResult", "VerificationReport", "measured", "require", "__version__"]
 
 
 @dataclass
@@ -46,6 +49,15 @@ class CheckResult:
             "status": self.status,
             "pass": self.passed,
         }
+
+
+def measured(check_id, claim, tolerance, defects, status="checked"):
+    """The entry of per-point defects (or per map and point): the residual is
+    their largest value, a NaN or inf kept, and `samples` their number.  An
+    empty sample reads NaN and fails."""
+    defects = np.asarray(defects, dtype=float)
+    residual = float(np.max(defects)) if defects.size else math.nan
+    return CheckResult(check_id, claim, residual, tolerance, defects.size, status)
 
 
 def require(what, entries):

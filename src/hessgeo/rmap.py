@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import parse_expression
-from .report import CheckResult
+from .report import measured
 from .structures import (
     HessianStructure,
     SelfsimilarHessianStructure,
@@ -24,7 +24,6 @@ from .structures import (
 )
 from .tensors import (
     AffineAutomorphism,
-    Residual,
     TensorField,
     VectorFieldSpec,
     blocks,
@@ -32,9 +31,11 @@ from .tensors import (
     exterior_derivative_2form,
     flow_defect,
     invariance_defect,
+    largest,
     lift_automorphisms,
     lift_field,
     lift_tensor,
+    max_abs,
     require_isometry,
     standard_symplectic,
 )
@@ -84,14 +85,17 @@ def check_kahler(lift: KahlerLift, samples=None):
     points = lift.sample_points(samples)
     J, G, w = lift.J, lift.metric(points), lift.omega(points)
     dw = exterior_derivative_2form(lift.omega, points)
-    residual = Residual().add_max_abs(J @ J + np.eye(lift.dim), dw, J.T @ G @ J - G, w - J.T @ G)
-    return CheckResult(
-        check_id="kahler_closed",
-        claim="d(omega) = 0, J^2 = -Id, g_r(J., J.) = g_r and omega = g_r(J., .) "
+    return measured(
+        "kahler_closed",
+        "d(omega) = 0, J^2 = -Id, g_r(J., J.) = g_r and omega = g_r(J., .) "
         "for the lifted structure",
-        residual=residual.value,
-        tolerance=1e-5,
-        samples=len(points),
+        1e-5,
+        largest(
+            max_abs(J @ J + np.eye(lift.dim)),
+            max_abs(dw, 3),
+            max_abs(J.T @ G @ J - G),
+            max_abs(w - J.T @ G),
+        ),
     )
 
 
@@ -109,13 +113,11 @@ def check_potential_identity(lift: KahlerLift, samples=None):
     H = hessian.derivative(points)
     # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
     h = 0.25 * (H[..., :n, :n] + H[..., n:, n:])
-    residual = Residual().add_max_abs(blocks(h, 0, 0, h) - lift.metric(points), H[..., :n, n:])
-    return CheckResult(
-        check_id="kahler_potential",
-        claim="g_r equals the complex Hessian of 4 pi^* phi",
-        residual=residual.value,
-        tolerance=1e-8,
-        samples=len(points),
+    return measured(
+        "kahler_potential",
+        "g_r equals the complex Hessian of 4 pi^* phi",
+        1e-8,
+        largest(max_abs(blocks(h, 0, 0, h) - lift.metric(points)), max_abs(H[..., :n, n:])),
     )
 
 
@@ -127,20 +129,17 @@ def check_invariance_psi(
 ):
     """Invariance of (g_r, J) under lifted automorphisms and fiber shifts."""
     require_isometry(lift.base, automorphisms)
-    points = lift.sample_points(samples)
-    residual = invariance_defect(
-        lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
-        points,
-        (lift.metric,),
-        (TensorField.constant(lift.J),),
-        floor=1.0,
-    )
-    return CheckResult(
-        check_id="psi_invariance",
-        claim="(g_r, J) is invariant under lifted isometries with fiber shifts",
-        residual=residual,
-        tolerance=1e-8,
-        samples=len(points) * max(1, len(automorphisms)),
+    return measured(
+        "psi_invariance",
+        "(g_r, J) is invariant under lifted isometries with fiber shifts",
+        1e-8,
+        invariance_defect(
+            lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
+            lift.sample_points(samples),
+            (lift.metric,),
+            (TensorField.constant(lift.J),),
+            floor=1.0,
+        ),
     )
 
 
@@ -154,17 +153,15 @@ def check_lemma_xi_items(ss: SelfsimilarHessianStructure, samples=None):
     xi1 = lift_field(ss.xi, np.zeros((n, n)), np.zeros(n))
     xi2 = lift_field(VectorFieldSpec.from_affine(np.zeros((n, n))), ss.xi.A, ss.xi.b)
     X = lift_field(ss.xi, ss.xi.A, ss.xi.b)  # xi1 + xi2
-    residual = Residual().add(
-        flow_defect(xi1, points, (pg,), factor=2.0),
-        flow_defect(xi2, points, (pg,)),
-        flow_defect(X, points, endomorphisms=(TensorField.constant(lift.J),)),
-    )
-    return CheckResult(
-        check_id="lifted_field_lemma",
-        claim="L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0",
-        residual=residual.value,
-        tolerance=1e-8,
-        samples=len(points),
+    return measured(
+        "lifted_field_lemma",
+        "L_{xi1} pi*g = 2 pi*g, L_{xi2} pi*g = 0, L_{xi1+xi2} J = 0",
+        1e-8,
+        largest(
+            flow_defect(xi1, points, (pg,), factor=2.0),
+            flow_defect(xi2, points, (pg,)),
+            flow_defect(X, points, endomorphisms=(TensorField.constant(lift.J),)),
+        ),
     )
 
 
@@ -181,43 +178,38 @@ def check_conformal_invariance(
     X = lift_field(ss.xi, ss.xi.A, ss.xi.b)
     omega_ck = conformal_rescaling(ss, lift.omega)
     entries = [
-        CheckResult(
-            check_id="conformal_norm_homothety",
-            claim="L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
-            residual=norm_homothety_defect(ss, points),
-            tolerance=1e-6,
-            samples=len(points),
+        measured(
+            "conformal_norm_homothety",
+            "L_{xi1+xi2} (pi^* g(xi,xi)) = 2 pi^* g(xi,xi)",
+            1e-6,
+            norm_homothety_defect(ss, points),
         ),
-        CheckResult(
-            check_id="conformal_omega_ck_flow",
-            claim="L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
-            residual=flow_defect(X, points, (omega_ck,)),
-            tolerance=1e-6,
-            samples=len(points),
+        measured(
+            "conformal_omega_ck_flow",
+            "L_{xi1+xi2} omega_cK = 0 for omega_cK = g(xi,xi)^{-1} omega",
+            1e-6,
+            flow_defect(X, points, (omega_ck,)),
         ),
-        CheckResult(
-            check_id="conformal_omega_negative_control",
-            claim="without the conformal factor L_{xi1+xi2} omega = 2 omega exactly",
-            residual=flow_defect(X, points, (lift.omega,), factor=2.0),
-            tolerance=1e-4,
-            samples=len(points),
+        measured(
+            "conformal_omega_negative_control",
+            "without the conformal factor L_{xi1+xi2} omega = 2 omega exactly",
+            1e-4,
+            flow_defect(X, points, (lift.omega,), factor=2.0),
         ),
     ]
     if automorphisms:
         require_isometry(ss.base, automorphisms)
-        res_inv = invariance_defect(
-            lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
-            points,
-            (omega_ck,),
-            floor=1.0,
-        )
         entries.append(
-            CheckResult(
-                check_id="conformal_psi_invariance",
-                claim="omega_cK is invariant under lifted unimodular isometries",
-                residual=res_inv,
-                tolerance=1e-8,
-                samples=len(points) * len(automorphisms),
+            measured(
+                "conformal_psi_invariance",
+                "omega_cK is invariant under lifted unimodular isometries",
+                1e-8,
+                invariance_defect(
+                    lift_automorphisms(automorphisms, lambda A: A, fiber_shifts),
+                    points,
+                    (omega_ck,),
+                    floor=1.0,
+                ),
             )
         )
     return entries

@@ -21,9 +21,8 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .expressions import ScalarExpression, parse_expression
-from .report import CheckResult, require
+from .report import measured, require
 from .tensors import (
-    Residual,
     TensorField,
     VectorFieldSpec,
     flow_defect,
@@ -152,28 +151,25 @@ def check_hessian(structure: HessianStructure, samples=None):
     """Positive definiteness of the metric and total symmetry of its
     derivative at samples; raises `NotPositiveDefinite` at the first sample
     where `is_positive_definite` fails."""
-    points = structure.sample_points(samples)
-    res_pd, res_sym = Residual(), Residual()
-    for p in points:
+    negative, asymmetric = [], []  # -lambda_min and the symmetry defect per sample
+    for p in structure.sample_points(samples):
         H = structure.metric(p)
         if not is_positive_definite(H):
             raise NotPositiveDefinite(p, f"Hess({structure.name}) not positive definite")
-        res_pd.add(-np.min(np.linalg.eigvalsh(H)))
-        res_sym.add(symmetry_defect(structure.metric.derivative(p)))
+        negative.append(-np.min(np.linalg.eigvalsh(H)))
+        asymmetric.append(symmetry_defect(structure.metric.derivative(p)))
     return [
-        CheckResult(
+        measured(
             "hessian_positive_definite",
             "the metric is positive definite on the sampled domain",
-            res_pd.value,
             1e-10,
-            len(points),
+            np.maximum(0.0, negative),
         ),
-        CheckResult(
+        measured(
             "hessian_symmetry",
             "d_k g_ij is totally symmetric (g is locally a Hessian)",
-            res_sym.value,
             1e-8,
-            len(points),
+            asymmetric,
         ),
     ]
 
@@ -186,12 +182,11 @@ def check_selfsimilar(structure, xi: VectorFieldSpec, samples=None):
     ss = SelfsimilarHessianStructure(structure, xi)
     for p in points:
         norm_squared(ss, p)
-    return CheckResult(
-        check_id="selfsimilar_metric",
-        claim="L_xi g = 2 g for the affine homothetic field xi",
-        residual=flow_defect(xi, points, (structure.metric,), factor=2.0),
-        tolerance=1e-8,
-        samples=len(points),
+    return measured(
+        "selfsimilar_metric",
+        "L_xi g = 2 g for the affine homothetic field xi",
+        1e-8,
+        flow_defect(xi, points, (structure.metric,), factor=2.0),
     )
 
 
@@ -245,13 +240,12 @@ def conformal_rescaling(s, T: TensorField) -> TensorField:
 
 
 def norm_homothety_defect(s, points):
-    """Max over bundle points (x, y) of |L_X N - 2 N| for N = pi^* g(xi, xi)
-    and a lifted field X that moves x along xi."""
-    residual = Residual()
-    for p in points:
-        x = p[: s.dim]
-        residual.add(abs(float(s.xi.value(x) @ norm_gradient(s, x)) - 2.0 * norm_squared(s, x)))
-    return residual.value
+    """|L_X N - 2 N| at each bundle point (x, y), for N = pi^* g(xi, xi) and a
+    lifted field X that moves x along xi."""
+    return np.array(
+        [abs(float(s.xi.value(x) @ norm_gradient(s, x)) - 2.0 * norm_squared(s, x))
+         for x in np.asarray(points, dtype=float)[:, : s.dim]]
+    )
 
 
 # -- configuration ---------------------------------------------------------

@@ -7,17 +7,17 @@ fields only available numerically, and every field inside `finite_differences()`
 differentiate by Richardson-extrapolated central finite differences with step
 `FD_STEP * max(1, |p|)` per point.  A field whose value and derivative come from
 the same per-point work reads both from one `point_bundle`, always computed
-exactly.  Checks collect their residuals in a `Residual` and measure invariance
-under maps with `invariance_defect` and flows with `flow_defect`, on whole samples.
+exactly.  A check measures per-point defects on a whole sample and hands them
+to `report.measured`: invariance under maps with `invariance_defect`, flows with
+`flow_defect`, with `max_abs` and `largest` to reduce tensors and combine defects.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,8 @@ __all__ = [
     "TensorField",
     "VectorFieldSpec",
     "AffineAutomorphism",
-    "Residual",
+    "max_abs",
+    "largest",
     "blocks",
     "lift_tensor",
     "standard_symplectic",
@@ -49,6 +50,7 @@ __all__ = [
     "pullback_defect",
     "invariance_defect",
     "flow_defect",
+    "first_failure",
     "require_isometry",
     "is_positive_definite",
     "fd_gradient",
@@ -58,8 +60,8 @@ __all__ = [
 FD_STEP = 1e-5
 # A default `check sk_flat` visits 442 distinct Darboux points, and
 # `check sk_flat --seed 4 --fd-check` 1,242, whose checks pass over the same
-# finite-difference stencils one after another: at this size it makes 1,310
-# Newton inversions (4,582 at 512).  At m = 2 the cache holds about 2 MB.
+# finite-difference stencils one after another: at this size it makes 1,282
+# Newton inversions (8,951 at 512).  At m = 2 the cache holds about 2 MB.
 POINT_CACHE_SIZE = 1024
 
 # on in `finite_differences()`, off in `point_bundle`; read by `TensorField.derivative` alone
@@ -317,10 +319,22 @@ def exterior_derivative_2form(omega: TensorField, p):
     return D - D.swapaxes(-3, -2) + np.moveaxis(D, -3, -1)
 
 
+def max_abs(array, axes=2):
+    """max |a| over the last `axes` axes: per point of a batch of matrices
+    (axes=2) or of 3-tensors (axes=3)."""
+    return np.max(np.abs(array), axis=tuple(range(-axes, 0)))
+
+
+def largest(*defects):
+    """Elementwise maximum of defects that broadcast together.  A NaN is
+    kept, where Python's `max(1.0, nan)` is 1.0."""
+    return reduce(np.maximum, defects)
+
+
 def symmetry_defect(D):
-    """Largest deviation of D[k, i, j] from total symmetry; zero for the
-    derivative of a Hessian metric."""
-    return Residual().add_max_abs(D - D.swapaxes(-3, -2), D - D.swapaxes(-3, -1)).value
+    """Deviation of D[..., k, i, j] from total symmetry, per point; zero for
+    the derivative of a Hessian metric."""
+    return largest(max_abs(D - D.swapaxes(-3, -2), 3), max_abs(D - D.swapaxes(-3, -1), 3))
 
 
 def nijenhuis(J: TensorField, p):
@@ -329,10 +343,10 @@ def nijenhuis(J: TensorField, p):
     Jm = J(p)
     D = J.derivative(p)  # D[m,i,j] = d_m J^i_j
     # N(X,Y)^i = J^m_j d_m J^i_k - J^m_k d_m J^i_j - J^i_m (d_j J^m_k - d_k J^m_j)
-    t1 = np.einsum("mj,mik->ijk", Jm, D)
-    t2 = np.einsum("mk,mij->ijk", Jm, D)
-    t3 = np.einsum("im,jmk->ijk", Jm, D)
-    t4 = np.einsum("im,kmj->ijk", Jm, D)
+    t1 = np.einsum("...mj,...mik->...ijk", Jm, D)
+    t2 = np.einsum("...mk,...mij->...ijk", Jm, D)
+    t3 = np.einsum("...im,...jmk->...ijk", Jm, D)
+    t4 = np.einsum("...im,...kmj->...ijk", Jm, D)
     return t1 - t2 - t3 + t4
 
 
@@ -350,45 +364,43 @@ def pullback_defect(T: AffineAutomorphism, g: TensorField, p, factor=1.0):
     """(max |T^* g - factor g|, max |factor g|) at each point: the defect and
     the scale a caller normalises it by."""
     expected = factor * g(p)
-    defect = np.abs(pullback_metric(T, g, p) - expected)
-    return np.max(defect, axis=(-2, -1)), np.max(np.abs(expected), axis=(-2, -1))
+    return max_abs(pullback_metric(T, g, p) - expected), max_abs(expected)
 
 
 def invariance_defect(maps, points, covariant=(), endomorphisms=(), factor=1.0, floor=0.0):
-    """Max over maps T and points p of |T^* S - factor S| / max(floor, |factor S|)
-    at p for each covariant 2-tensor field S, and of |A^{-1} K(Tp) A - K(p)| for
-    each endomorphism field K; the images under each map are one batch."""
+    """Defects (maps, points): the largest of |T^* S - factor S| / max(floor, |factor S|)
+    at p over covariant 2-tensor fields S, and of |A^{-1} K(Tp) A - K(p)| over
+    endomorphism fields K; the images under each map are one batch."""
     points = np.asarray(points, dtype=float)
-    residual = Residual()
-    for T in maps:
 
-        def at(p, T=T):
-            r = Residual()
-            for S in covariant:
-                defect, scale = pullback_defect(T, S, p, factor)
-                r.add(np.max(defect / np.maximum(floor, scale)))
-            for K in endomorphisms:
-                r.add_max_abs(np.linalg.solve(T.A, K(T(p)) @ T.A) - K(p))
-            return r.value
+    def relative(T, S, p):
+        defect, scale = pullback_defect(T, S, p, factor)
+        return defect / np.maximum(floor, scale)
 
-        residual.add(_first_failure(at, points))
-    return residual.value
+    def under(T):
+        def at(p):
+            return largest(
+                *(relative(T, S, p) for S in covariant),
+                *(max_abs(np.linalg.solve(T.A, K(T(p)) @ T.A) - K(p)) for K in endomorphisms),
+            )
+
+        return first_failure(at, points)
+
+    return np.array([under(T) for T in maps])
 
 
 def flow_defect(X: VectorFieldSpec, points, covariant=(), endomorphisms=(), factor=0.0):
-    """Max over points p of |L_X S - factor S| for each covariant 2-tensor
-    field S, and of |L_X K| for each endomorphism field K: the flow
+    """Defects per point: the largest of |L_X S - factor S| over covariant
+    2-tensor fields S and of |L_X K| over endomorphism fields K; the flow
     counterpart of `invariance_defect`, absolute."""
 
     def at(p):
-        residual = Residual()
-        for S in covariant:
-            residual.add_max_abs(lie_derivative_metric(S, X, p) - factor * S(p))
-        for K in endomorphisms:
-            residual.add_max_abs(lie_derivative_endomorphism(K, X, p))
-        return residual.value
+        return largest(
+            *(max_abs(lie_derivative_metric(S, X, p) - factor * S(p)) for S in covariant),
+            *(max_abs(lie_derivative_endomorphism(K, X, p)) for K in endomorphisms),
+        )
 
-    return _first_failure(at, np.asarray(points, dtype=float))
+    return first_failure(at, np.asarray(points, dtype=float))
 
 
 def require_isometry(base, autos, endomorphisms=()):
@@ -396,7 +408,7 @@ def require_isometry(base, autos, endomorphisms=()):
     the given endomorphism fields, at 10 base samples (salt 3)."""
     points = base.sample_points(10, salt=3)
     for T in autos:
-        defect = invariance_defect([T], points, (base.metric,), endomorphisms, floor=1.0)
+        defect = np.max(invariance_defect([T], points, (base.metric,), endomorphisms, floor=1.0))
         if not defect <= 1e-8:
             raise NotAnIsometry(
                 f"linear part {T.A.tolist()} does not preserve the base structure "
@@ -404,7 +416,7 @@ def require_isometry(base, autos, endomorphisms=()):
             )
 
 
-def _first_failure(at, points):
+def first_failure(at, points):
     """`at(points)` over a batch; where it raises, the error that the first
     failing point raises alone, as a loop over the points would."""
     try:
@@ -415,26 +427,7 @@ def _first_failure(at, points):
         raise
 
 
-class Residual:
-    """Running maximum of residuals.  Unlike Python's `max`, a NaN is kept
-    once seen (as is an inf), so a residual that became non-finite fails its
-    check instead of vanishing."""
-
-    def __init__(self):
-        self.value = 0.0
-
-    def add(self, *values):
-        for v in values:
-            v = float(v)
-            if not v <= self.value and not math.isnan(self.value):
-                self.value = v
-        return self
-
-    def add_max_abs(self, *arrays):
-        """Adds max |a| of each array."""
-        return self.add(*(np.max(np.abs(a)) for a in arrays))
-
-
 def is_positive_definite(M, tol=1e-10):
+    """Whether the matrix M, or every matrix of a stack (..., n, n), is."""
     M = np.asarray(M, dtype=float)
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) > tol)
+    return bool(np.min(np.linalg.eigvalsh(0.5 * (M + M.swapaxes(-1, -2)))) > tol)

@@ -1,0 +1,110 @@
+"""Source mutants that a preset check must kill.
+
+Each mutant is (file of src/hessgeo, old text, new text, geometry, check id).
+For each one the runner copies `src/` to a temporary directory, replaces the
+old text, which must occur exactly once, by the new, runs
+`python -m hessgeo.cli check <geometry> --json` against the copy and reads the
+entry of the check id.  The mutant is killed when that entry is in the report
+and fails.  The same check on the unmutated source must pass, or the mutant
+proves nothing.
+
+    python tests/mutants.py    # exit 1 if a mutant survives or cannot be run
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MUTANTS = (
+    # an empty sample must read NaN and fail, not pass at 0.0
+    ("cmap.py", "            closed,\n", "            closed[:0],\n", "sk_flat", "hk_closed_forms"),
+    # the Kahler form of TM with a symmetric, not antisymmetric, lower block
+    (
+        "rmap.py",
+        "blocks(0, G, -G.swapaxes(-1, -2), 0)",
+        "blocks(0, G, G.swapaxes(-1, -2), 0)",
+        "orthant2",
+        "kahler_closed",
+    ),
+    # I2 = [[0, w^{-1}], [w, 0]] squares to +Id
+    ("cmap.py", "blocks(0, -winv, w, 0)", "blocks(0, winv, w, 0)", "sk_conic", "hk_quaternion"),
+    # the derivative of g_c = diag(g, g^{-1}) with d(g^{-1}) = +g^{-1} dg g^{-1}
+    ("cmap.py", "0, -ginv @ dg @ ginv)", "0, ginv @ dg @ ginv)", "sk_conic", "hk_closed_forms"),
+    # the derivative of I1 = diag(I, I^T) taken as diag(dI, dI)
+    ("cmap.py", "blocks(dI, 0, 0, dIT)", "blocks(dI, 0, 0, dI)", "sk_conic", "hk_closed_forms"),
+    # the derivative of 1 / g(xi, xi) with the wrong sign
+    ("structures.py", "[-f * f * norm_gradient", "[f * f * norm_gradient", "orthant2",
+     "conformal_omega_ck_flow"),
+    # the derivative of g(xi, xi) with half its Jacobian term
+    ("structures.py", "return 2.0 * (s.xi", "return 1.0 * (s.xi", "lorentz3",
+     "conformal_norm_homothety"),
+)
+
+
+def check_entry(src, geometry, check_id):
+    """The entry of `check_id` in `hessgeo check <geometry> --json` run on the
+    package in `src`, or None when the run gives no report with that entry."""
+    run = subprocess.run(
+        [sys.executable, "-m", "hessgeo.cli", "check", geometry, "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=src,
+    )
+    try:
+        entries = json.loads(run.stdout)["entries"]
+    except ValueError:
+        return None
+    return next((e for e in entries if e["check_id"] == check_id), None)
+
+
+def mutate(file, old, new, workdir):
+    """A copy of `src/` in `workdir` with `old` replaced by `new` in `file`."""
+    copy = Path(workdir) / "src"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "hessgeo" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {text.count(old)} times in {file}, not once")
+    path.write_text(text.replace(old, new))
+    return copy
+
+
+def main():
+    bad = 0
+    unmutated = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for file, old, new, geometry, check_id in MUTANTS:
+            name = f"{file}: {old.strip()!r} -> {new.strip()!r} ({geometry} {check_id})"
+            if (geometry, check_id) not in unmutated:
+                unmutated[geometry, check_id] = check_entry(SRC, geometry, check_id)
+            before = unmutated[geometry, check_id]
+            try:
+                after = check_entry(mutate(file, old, new, workdir), geometry, check_id)
+            except ValueError as exc:
+                after, name = None, f"{name}: {exc}"
+            if before is None or not before["pass"]:
+                verdict = "UNMUTATED CHECK DOES NOT PASS"
+            elif after is None:
+                verdict = "NO REPORT ENTRY"
+            elif after["pass"]:
+                verdict = f"SURVIVED (residual {after['residual']!r})"
+            else:
+                verdict = f"killed (residual {after['residual']!r})"
+            bad += not verdict.startswith("killed")
+            print(f"{verdict}: {name}")
+    print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - bad} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

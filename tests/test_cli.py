@@ -118,6 +118,19 @@ def test_tol_override_of_unknown_check_rejected(capsys):
     assert "--tol names checks not in the report: nosuch" in capsys.readouterr().err
 
 
+def test_a_suite_named_twice_runs_once(capsys):
+    assert main(["check", "orthant2", "--suite", "cone", "--suite", "cone", "--json"]) == 0
+    twice = json.loads(capsys.readouterr().out)
+    assert main(["check", "orthant2", "--suite", "cone", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == twice
+    ids = [entry["check_id"] for entry in twice["entries"]]
+    assert len(ids) == len(set(ids)) == 7
+    # named suites run in the order given
+    report = run_check("orthant2", ["cone", "hessian", "cone"], 3, 42)
+    assert report.entries[0].check_id.startswith("dilation_law")
+    assert report.entries[-1].check_id == "hessian_symmetry"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(
@@ -385,13 +398,22 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
             CHECK_CFG,
             "w = I^T g = lambda Omega singular at lambda = 0.0",
         ),
+        # an assumed or informational entry has a tolerance that gates nothing
+        (
+            None,
+            ["check", "orthant2", "--suite", "conformal", "--samples", "3",
+             "--tol", "orbit_reachability=1e-9",
+             "--tol", "hypothesis_completeness_transitivity=1", "--tol", "conformal_omega_ck_flow=1"],
+            "--tol names entries that no tolerance gates: "
+            "hypothesis_completeness_transitivity, orbit_reachability",
+        ),
     ],
     ids=[
         "not-json", "not-an-object", "negative-seed", "eval-negative-seed",
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
-        "sk-zero-I", "sk-identity-I",
+        "sk-zero-I", "sk-identity-I", "tol-ungated",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):

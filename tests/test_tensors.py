@@ -12,10 +12,9 @@ from hessgeo.cmap import special_kahler_preset
 from hessgeo.cones import preset
 from hessgeo.errors import DomainError
 from hessgeo.expressions import ScalarExpression, parse_expression
-from hessgeo.report import CheckResult
+from hessgeo.report import measured
 from hessgeo.tensors import (
     AffineAutomorphism,
-    Residual,
     TensorField,
     VectorFieldSpec,
     blocks,
@@ -24,6 +23,7 @@ from hessgeo.tensors import (
     flow_defect,
     invariance_defect,
     is_positive_definite,
+    largest,
     lie_derivative_endomorphism,
     lie_derivative_metric,
     lift_tensor,
@@ -213,15 +213,15 @@ def test_flow_defect_is_the_max_of_the_lie_derivative_residual():
     g, n = cone.con.metric, cone.dim
     points = cone.con.sample_points(10)
     # L_rho g_con = -n g_con, so without the factor the defect is max |n g_con|
-    assert flow_defect(cone.rho, points, (g,), factor=-n) < 1e-10
+    assert np.max(flow_defect(cone.rho, points, (g,), factor=-n)) < 1e-10
     scale = max(np.max(np.abs(n * g(p))) for p in points)
-    assert flow_defect(cone.rho, points, (g,)) == pytest.approx(scale, rel=1e-12)
+    assert np.max(flow_defect(cone.rho, points, (g,))) == pytest.approx(scale, rel=1e-12)
     # a constant J under X = A x: L_X J = J A - A J, the same at every point
     J, A = standard_symplectic(1), np.diag([1.0, 2.0])
     defect = flow_defect(
         VectorFieldSpec.from_affine(A), points, endomorphisms=(TensorField.constant(J),)
     )
-    assert defect == np.max(np.abs(J @ A - A @ J)) == 1.0
+    assert np.max(defect) == np.max(np.abs(J @ A - A @ J)) == 1.0
 
 
 def test_exterior_derivative_oracle():
@@ -279,10 +279,10 @@ def test_invariance_defect_of_a_dilation(name):
     con = preset(name).con
     T = AffineAutomorphism.linear(2.0 * np.eye(con.dim))
     defect = invariance_defect([T], con.sample_points(5), (con.metric,))
-    assert defect == pytest.approx(1.0 - 2.0 ** (-con.dim), abs=1e-12)
+    assert np.max(defect) == pytest.approx(1.0 - 2.0 ** (-con.dim), abs=1e-12)
     # and with the factor 2^(-n) the dilation preserves it
     scaled = invariance_defect([T], con.sample_points(5), (con.metric,), factor=2.0 ** (-con.dim))
-    assert scaled < 1e-12
+    assert np.max(scaled) < 1e-12
 
 
 def test_invariance_defect_of_a_reflection_on_I():
@@ -290,10 +290,9 @@ def test_invariance_defect_of_a_reflection_on_I():
     sk = special_kahler_preset("sk_flat", samples=5)
     T = AffineAutomorphism.linear(np.diag([1.0, -1.0]))
     points = sk.sample_points(5)
-    assert invariance_defect([T], points, (sk.metric,), floor=1.0) < 1e-12
-    assert invariance_defect([T], points, endomorphisms=(sk.complex_structure,)) == pytest.approx(
-        2.0, abs=1e-12
-    )
+    assert np.max(invariance_defect([T], points, (sk.metric,), floor=1.0)) < 1e-12
+    defect = invariance_defect([T], points, endomorphisms=(sk.complex_structure,))
+    assert np.max(defect) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_singular_automorphism_rejected():
@@ -308,10 +307,11 @@ def test_positive_definite_helpers():
 
 def test_residual_is_the_exact_maximum_of_finite_values():
     values = [0.3, 1e-17, 2.5, -4.0, 2.5 - 1e-15]
-    assert Residual().add(*values).value == max(values)
-    assert Residual().add(-1.0).value == 0.0
-    arrays = [np.array([[0.1, -3.0]]), np.array([2.0])]
-    assert Residual().add_max_abs(*arrays).value == 3.0
+    entry = measured("c", "claim", 3.0, values)
+    assert (entry.residual, entry.samples, entry.passed) == (max(values), 5, True)
+    per_map_and_point = np.array([[0.1, -3.0, 2.0], [2.5, 1.0, 0.0]])
+    assert measured("c", "claim", 1.0, per_map_and_point).samples == 6
+    assert largest(np.array([0.1, 3.0]), np.array([2.0, -1.0]), 0.5).tolist() == [2.0, 3.0]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("nan")])
@@ -319,11 +319,22 @@ def test_residual_is_the_exact_maximum_of_finite_values():
 def test_residual_lets_nan_and_inf_fail_the_check(bad, position):
     values = [1e-12, 3e-13, 2e-12]
     values.insert(position, bad)
-    residual = Residual().add(*values)
-    assert not CheckResult("c", "claim", residual.value, 1e-6, len(values)).passed
-    nan_matrix = np.array([[1e-12, bad], [0.0, 1e-13]])
-    residual = Residual().add_max_abs(np.zeros(2), nan_matrix, np.ones(1) * 1e-12)
-    assert not CheckResult("c", "claim", residual.value, 1e-6, 3).passed
+    assert not measured("c", "claim", 1e-6, values).passed
+    # a non-finite defect survives `largest`, in either argument order
+    folded = largest(*values)
+    assert not measured("c", "claim", 1e-6, [folded]).passed
+
+
+def test_largest_keeps_a_nan_that_max_drops():
+    nan = float("nan")
+    assert max(1.0, nan) == 1.0
+    assert np.isnan(largest(1.0, nan)) and np.isnan(largest(nan, 1.0))
+
+
+def test_an_empty_sample_reads_nan_and_fails():
+    entry = measured("c", "claim", 1e-6, np.zeros((0,)))
+    assert np.isnan(entry.residual) and entry.samples == 0 and not entry.passed
+    assert measured("c", "claim", 1e-6, np.zeros((3, 0))).samples == 0
 
 
 def test_invariance_defect_names_the_first_image_that_leaves_the_domain():
@@ -357,10 +368,11 @@ def test_a_nan_at_one_point_makes_the_batched_residuals_nan():
         flow_defect(VectorFieldSpec.from_affine(np.eye(2)), points, (field,)),
         flow_defect(VectorFieldSpec.from_affine(np.eye(2)), points, endomorphisms=(field,)),
     ]
-    assert all(np.isnan(d) for d in defects)
-    assert not any(CheckResult("c", "claim", d, 1e-6, len(points)).passed for d in defects)
+    assert all(np.isnan(np.max(d)) for d in defects)
+    assert not any(measured("c", "claim", 1e-6, d).passed for d in defects)
     # without the NaN point the same residuals are finite: Id is invariant
-    assert invariance_defect([AffineAutomorphism.linear(np.eye(2))], points[:3], (field,)) == 0.0
+    identity = AffineAutomorphism.linear(np.eye(2))
+    assert np.max(invariance_defect([identity], points[:3], (field,))) == 0.0
 
 
 def _raises_at(bad_point, name):
