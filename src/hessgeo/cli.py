@@ -289,7 +289,9 @@ def _cone_rmap(cone, samples):
     return rmap_suite(cone.can, samples, autos, shifts)
 
 
-def _hessian_kind(structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)):
+def _hessian_kind(
+    structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)
+):
     """A kind whose geometry is a Hessian structure, `structure_of(obj)`:
     the hessian and rmap suites and the tensors g, gr and omega, plus extras."""
 
@@ -411,10 +413,9 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         report.extend(entries)
         if fd_check and suite in KINDS[kind].fd_suites:
             with finite_differences():
-                fd_entries = {e.check_id: e for e in run_suite(kind, obj, suite, samples)}
-            for entry in entries:
-                twin = fd_entries.get(entry.check_id)
-                if twin is None or entry.status != "checked":
+                twins = run_suite(kind, obj, suite, samples)
+            for entry, twin in zip(entries, twins, strict=True):
+                if entry.status != "checked":
                     continue
                 report.add(
                     CheckResult(

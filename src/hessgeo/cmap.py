@@ -76,6 +76,7 @@ __all__ = [
     "HyperKahlerFrame",
     "special_kahler_from_prepotential",
     "special_kahler_preset",
+    "SK_PRESETS",
     "SK_PRESET_NAMES",
     "build_hyperkahler",
     "check_special_kahler_axioms",
@@ -83,8 +84,6 @@ __all__ = [
     "check_invariance_psi_hat",
     "check_conformal_hyperkahler",
 ]
-
-SK_PRESET_NAMES = ("sk_flat", "sk_cubic", "sk_conic")
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 80
@@ -277,8 +276,8 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
     """Direct configuration: explicit I components and potential over q1..q2m."""
     try:
         dim = int(config["dim"])
-        if dim % 2:
-            raise ConfigError("dim must be even")
+        if dim < 2 or dim % 2:
+            raise ConfigError(f"dim must be even and at least 2, got {dim}")
         m = dim // 2
         variables = [f"q{k + 1}" for k in range(dim)]
         if config.get("potential", "implicit") == "implicit":
@@ -288,13 +287,9 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ConfigError(f"I must have {dim} rows of {dim} components")
         I = TensorField.from_components(rows)
-        inequalities = tuple(
-            parse_expression(text, variables) for text in config.get("domain", [])
-        )
-        box = np.asarray(config["box"], dtype=float)
+        domain = Domain.from_config(config, variables)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad special-Kahler config: {exc}") from exc
-    domain = Domain(inequalities, box)
     return SpecialKahlerStructure(
         name=config.get("name", "special_kahler"),
         m=m,
@@ -325,60 +320,52 @@ def prepotential_from_config(config) -> SpecialKahlerStructure:
     )
 
 
-def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
-    if name == "sk_flat":
-        config = {
-            "name": name,
-            "m": 1,
-            "F": "i*z1^2/2",
-            "box": [[-1.0, 1.0], [-1.0, 1.0]],
-        }
-    elif name == "sk_cubic":
-        config = {
-            "name": name,
-            "m": 1,
-            "F": "z1^3/6",
-            "box": [[-1.0, 1.0], [0.5, 1.5]],
-        }
-    elif name == "sk_conic":
-        # The conic cubic-over-linear prepotential; the i factor places the
-        # positive definite branch at z2/z1 ~ 1 (without it det Im F'' <= 0
-        # identically).
-        config = {
-            "name": name,
-            "m": 2,
-            "F": "i*z2^3/z1",
-            "box": [
-                [0.9, 1.1],
-                [0.9, 1.1],
-                [-0.05, 0.05],
-                [-0.05, 0.05],
-            ],
-        }
-    else:
-        raise UnknownPreset(name)
-    config["seed"] = seed
-    config["samples"] = samples
-    structure = prepotential_from_config(config)
-    if name == "sk_flat":
-        # the rotations cos t + sin t I of the constant I
-        I = structure.complex_structure(structure.sample_points(1, salt=9)[0])
-        structure.isometries = tuple(
-            AffineAutomorphism.linear(np.cos(t) * np.eye(2) + np.sin(t) * I)
-            for t in (0.3, -1.1, 2.0)
-        )
-    elif name == "sk_cubic":
-        # z -> z + a: (u, v) -> (u + a, v + a u + a^2/2) in Darboux coordinates
-        structure.isometries = tuple(
+def _rotations(sk):
+    """The rotations cos t + sin t I of a constant I."""
+    I = sk.complex_structure(sk.sample_points(1, salt=9)[0])
+    return tuple(
+        AffineAutomorphism.linear(np.cos(t) * np.eye(2) + np.sin(t) * I) for t in (0.3, -1.1, 2.0)
+    )
+
+
+# name: (m, F, box of (Re z, Im z), the holomorphic isometries B q + c of the
+# structure); adding a preset is adding a row
+SK_PRESETS = {
+    "sk_flat": (1, "i*z1^2/2", [[-1.0, 1.0], [-1.0, 1.0]], _rotations),
+    # z -> z + a: (u, v) -> (u + a, v + a u + a^2/2) in Darboux coordinates
+    "sk_cubic": (
+        1,
+        "z1^3/6",
+        [[-1.0, 1.0], [0.5, 1.5]],
+        lambda sk: tuple(
             AffineAutomorphism(np.array([[1.0, 0.0], [a, 1.0]]), np.array([a, a * a / 2]))
             for a in (0.1, -0.2, 0.05)
-        )
-    else:
-        # (z1, z2) -> (mu^3 z1, mu z2), which preserves F = i z2^3/z1
-        structure.isometries = tuple(
+        ),
+    ),
+    # the conic cubic-over-linear prepotential; the i factor places the positive
+    # definite branch at z2/z1 ~ 1 (without it det Im F'' <= 0 identically);
+    # (z1, z2) -> (mu^3 z1, mu z2) preserves F
+    "sk_conic": (
+        2,
+        "i*z2^3/z1",
+        [[0.9, 1.1], [0.9, 1.1], [-0.05, 0.05], [-0.05, 0.05]],
+        lambda sk: tuple(
             AffineAutomorphism.linear(np.diag([mu**3, mu, mu**-3, mu**-1]))
             for mu in (1.02, 0.98, 1.01)
-        )
+        ),
+    ),
+}
+SK_PRESET_NAMES = tuple(SK_PRESETS)
+
+
+def special_kahler_preset(name, seed=42, samples=100) -> SpecialKahlerStructure:
+    if name not in SK_PRESETS:
+        raise UnknownPreset(name)
+    m, F, box, isometries = SK_PRESETS[name]
+    structure = prepotential_from_config(
+        {"name": name, "m": m, "F": F, "box": box, "seed": seed, "samples": samples}
+    )
+    structure.isometries = isometries(structure)
     return structure
 
 

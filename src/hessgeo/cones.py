@@ -1,25 +1,28 @@
 """Built-in homogeneous regular convex cones.
 
-Each preset carries a closed-form characteristic potential phi (constant
-normalized to 1), homogeneous of degree -n, the canonical metric
-g_can = Hess(ln phi), the conical metric g_con = Hess(phi), the radiant field
-rho = sum x^i d/dx^i, and samplers for automorphisms (full group and the
-unimodular subgroup).  A preset carries its seed and builds g_can, g_con and
-the selfsimilar structure (g_con, xi) once, validated, on first use.
+Each preset is one row of `CONES`: a closed-form characteristic potential phi
+over x1..xn (constant normalized to 1), homogeneous of degree -n, the
+inequalities that cut the cone out of a sampling box, and a sampler of
+automorphisms (full group and the unimodular subgroup).  A preset carries its
+seed and builds the canonical metric g_can = Hess(ln phi) and the conical
+metric g_con = Hess(phi) through `make_hessian_structure`, as a geometry config
+would, and the selfsimilar structure (g_con, xi); each once, validated, on
+first use.  rho = sum x^i d/dx^i is the radiant field.  Adding a preset is
+adding a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, List
 
 import numpy as np
 
 from .errors import UnknownPreset
-from .expressions import parse_expression
+from .expressions import ScalarExpression, parse_expression
 from .report import measured
-from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
+from .structures import Domain, SelfsimilarHessianStructure, make_hessian_structure
 from .tensors import (
     AffineAutomorphism,
     VectorFieldSpec,
@@ -27,43 +30,36 @@ from .tensors import (
     invariance_defect,
 )
 
-__all__ = ["ConePreset", "preset", "PRESET_NAMES", "dilation_law", "radiant_law",
+__all__ = ["ConePreset", "preset", "CONES", "PRESET_NAMES", "dilation_law", "radiant_law",
            "automorphism_samples"]
-
-PRESET_NAMES = ("orthant2", "orthant3", "lorentz3", "spd2")
 
 
 @dataclass(frozen=True)
 class ConePreset:
     name: str
-    dim: int
-    phi_char: "ScalarExpression"
+    phi_char: ScalarExpression
     domain: Domain
-    rho: VectorFieldSpec
     sample_automorphisms: Callable[[int, np.random.Generator, bool], List[AffineAutomorphism]]
     seed: int = 42
 
     @property
-    def variables(self):
-        return self.phi_char.variables
+    def dim(self):
+        return self.domain.dim
+
+    @property
+    def rho(self):
+        return VectorFieldSpec.from_affine(np.eye(self.dim))
 
     def hessian_structure(self, metric="can", seed=42, samples=100):
         """The validated Hessian structure for g_can (ln phi) or g_con (phi)."""
-        if metric == "can":
-            text = f"ln({self.phi_char.serialize()})"
-        elif metric == "con":
-            text = self.phi_char.serialize()
-        else:
+        phi, inequalities, box, _ = CONES[self.name]
+        potential = {"can": f"ln({phi})", "con": phi}.get(metric)
+        if potential is None:
             raise ValueError(f"metric must be 'can' or 'con', got {metric!r}")
-        potential = parse_expression(text, self.variables)
-        return HessianStructure(
-            name=f"{self.name}_g{metric}",
-            dim=self.dim,
-            potential=potential,
-            domain=self.domain,
-            seed=seed,
-            samples=samples,
-        ).validate()
+        return make_hessian_structure(
+            {"name": f"{self.name}_g{metric}", "dim": self.dim, "potential": potential,
+             "domain": inequalities, "box": box, "seed": seed, "samples": samples}
+        )
 
     @cached_property
     def can(self):
@@ -80,65 +76,34 @@ class ConePreset:
         return SelfsimilarHessianStructure(self.con, xi).validate()
 
 
-def _orthant(n):
-    variables = [f"x{k + 1}" for k in range(n)]
-    phi = parse_expression("1/(" + "*".join(variables) + ")", variables)
-    inequalities = tuple(parse_expression(v, variables) for v in variables)
-    box = np.array([[0.5, 2.0]] * n)
-
-    def sample(count, rng, unimodular):
-        autos = []
-        for _ in range(count):
-            d = np.exp(rng.uniform(-0.7, 0.7, size=n))
-            if unimodular:
-                d /= np.prod(d) ** (1.0 / n)
-            perm = np.eye(n)[rng.permutation(n)]
-            autos.append(AffineAutomorphism.linear(perm @ np.diag(d)))
-        return autos
-
-    return ConePreset(
-        name=f"orthant{n}",
-        dim=n,
-        phi_char=phi,
-        domain=Domain(inequalities, box),
-        rho=VectorFieldSpec.from_affine(np.eye(n)),
-        sample_automorphisms=sample,
-    )
+# -- automorphism samplers: (count, rng, unimodular) -> AffineAutomorphisms --
 
 
-def _lorentz3():
-    variables = ["x1", "x2", "x3"]
-    q = "x1^2-x2^2-x3^2"
-    phi = parse_expression(f"({q})^(-1.5)", variables)
-    inequalities = (
-        parse_expression(q, variables),
-        parse_expression("x1", variables),
-    )
-    box = np.array([[1.5, 2.5], [-0.7, 0.7], [-0.7, 0.7]])
+def _orthant_automorphisms(n, count, rng, unimodular):
+    autos = []
+    for _ in range(count):
+        d = np.exp(rng.uniform(-0.7, 0.7, size=n))
+        if unimodular:
+            d /= np.prod(d) ** (1.0 / n)
+        perm = np.eye(n)[rng.permutation(n)]
+        autos.append(AffineAutomorphism.linear(perm @ np.diag(d)))
+    return autos
 
-    def sample(count, rng, unimodular):
-        autos = []
-        for _ in range(count):
-            theta = rng.uniform(-np.pi, np.pi)
-            t = rng.uniform(-0.4, 0.4)
-            c, s = np.cos(theta), np.sin(theta)
-            rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-            ch, sh = np.cosh(t), np.sinh(t)
-            boost = np.array([[ch, sh, 0], [sh, ch, 0], [0, 0, 1]], dtype=float)
-            A = boost @ rot
-            if not unimodular:
-                A = np.exp(rng.uniform(-0.3, 0.3)) * A
-            autos.append(AffineAutomorphism.linear(A))
-        return autos
 
-    return ConePreset(
-        name="lorentz3",
-        dim=3,
-        phi_char=phi,
-        domain=Domain(inequalities, box),
-        rho=VectorFieldSpec.from_affine(np.eye(3)),
-        sample_automorphisms=sample,
-    )
+def _lorentz_automorphisms(count, rng, unimodular):
+    autos = []
+    for _ in range(count):
+        theta = rng.uniform(-np.pi, np.pi)
+        t = rng.uniform(-0.4, 0.4)
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
+        ch, sh = np.cosh(t), np.sinh(t)
+        boost = np.array([[ch, sh, 0], [sh, ch, 0], [0, 0, 1]], dtype=float)
+        A = boost @ rot
+        if not unimodular:
+            A = np.exp(rng.uniform(-0.3, 0.3)) * A
+        autos.append(AffineAutomorphism.linear(A))
+    return autos
 
 
 def _congruence_matrix(G):
@@ -155,48 +120,49 @@ def _congruence_matrix(G):
     )
 
 
-def _spd2():
-    variables = ["x1", "x2", "x3"]  # (a, b, c) of [[a, b], [b, c]]
-    det = "x1*x3-x2^2"
-    phi = parse_expression(f"({det})^(-1.5)", variables)
-    inequalities = (
-        parse_expression("x1", variables),
-        parse_expression(det, variables),
-    )
-    box = np.array([[0.8, 2.0], [-0.5, 0.5], [0.8, 2.0]])
+def _spd2_automorphisms(count, rng, unimodular):
+    autos = []
+    while len(autos) < count:
+        G = rng.normal(size=(2, 2)) * 0.7 + np.eye(2)
+        d = np.linalg.det(G)
+        if abs(d) < 0.3:
+            continue
+        if unimodular:
+            G = G / np.sqrt(abs(d))
+        autos.append(AffineAutomorphism.linear(_congruence_matrix(G)))
+    return autos
 
-    def sample(count, rng, unimodular):
-        autos = []
-        while len(autos) < count:
-            G = rng.normal(size=(2, 2)) * 0.7 + np.eye(2)
-            d = np.linalg.det(G)
-            if abs(d) < 0.3:
-                continue
-            if unimodular:
-                G = G / np.sqrt(abs(d))
-            autos.append(AffineAutomorphism.linear(_congruence_matrix(G)))
-        return autos
 
-    return ConePreset(
-        name="spd2",
-        dim=3,
-        phi_char=phi,
-        domain=Domain(inequalities, box),
-        rho=VectorFieldSpec.from_affine(np.eye(3)),
-        sample_automorphisms=sample,
-    )
+# name: (phi, inequalities, box, automorphism sampler); spd2 charts the
+# symmetric matrix [[a, b], [b, c]] as (x1, x2, x3) = (a, b, c)
+CONES = {
+    "orthant2": ("1/(x1*x2)", ("x1", "x2"), [[0.5, 2.0]] * 2, partial(_orthant_automorphisms, 2)),
+    "orthant3": (
+        "1/(x1*x2*x3)", ("x1", "x2", "x3"), [[0.5, 2.0]] * 3, partial(_orthant_automorphisms, 3)
+    ),
+    "lorentz3": (
+        "(x1^2-x2^2-x3^2)^(-1.5)",
+        ("x1^2-x2^2-x3^2", "x1"),
+        [[1.5, 2.5], [-0.7, 0.7], [-0.7, 0.7]],
+        _lorentz_automorphisms,
+    ),
+    "spd2": (
+        "(x1*x3-x2^2)^(-1.5)",
+        ("x1", "x1*x3-x2^2"),
+        [[0.8, 2.0], [-0.5, 0.5], [0.8, 2.0]],
+        _spd2_automorphisms,
+    ),
+}
+PRESET_NAMES = tuple(CONES)
 
 
 def preset(name, seed=42) -> ConePreset:
-    if name in ("orthant2", "orthant3"):
-        cone = _orthant(int(name[-1]))
-    elif name == "lorentz3":
-        cone = _lorentz3()
-    elif name == "spd2":
-        cone = _spd2()
-    else:
+    if name not in CONES:
         raise UnknownPreset(name)
-    return replace(cone, seed=seed)
+    phi, inequalities, box, sample = CONES[name]
+    variables = [f"x{k + 1}" for k in range(len(box))]
+    domain = Domain.from_config({"domain": inequalities, "box": box}, variables)
+    return ConePreset(name, parse_expression(phi, variables), domain, sample, seed)
 
 
 def automorphism_samples(cone: ConePreset, count=20, unimodular=False):

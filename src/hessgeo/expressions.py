@@ -248,7 +248,9 @@ class ScalarExpression:
     def __call__(self, point):
         """Plain evaluation, a value-only pass: a number, or an array (...)."""
         value = self._evaluate(point, 0).value
-        return value if isinstance(value, np.ndarray) else float(value) if self.real else complex(value)
+        if isinstance(value, np.ndarray):
+            return value
+        return float(value) if self.real else complex(value)
 
     def jet3(self, point, order=3):
         """The `Jet` truncated at `order` (0 to 3): value, gradient, Hessian and

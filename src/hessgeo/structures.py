@@ -55,6 +55,16 @@ class Domain:
     box: np.ndarray  # (n, 2) rows [lo, hi]
     margin: float = DOMAIN_MARGIN
 
+    @classmethod
+    def from_config(cls, config, variables):
+        """The domain of a config: its `domain` inequalities over `variables`
+        and its `box`, which must hold one row [lo, hi] per variable."""
+        inequalities = tuple(parse_expression(text, variables) for text in config.get("domain", []))
+        box = np.asarray(config["box"], dtype=float)
+        if box.shape != (len(variables), 2):
+            raise ConfigError(f"box must be {len(variables)} rows of [lo, hi]")
+        return cls(inequalities, box)
+
     @property
     def dim(self):
         return self.box.shape[0]
@@ -262,19 +272,14 @@ def make_hessian_structure(config) -> HessianStructure:
         dim = int(config["dim"])
         variables = [f"x{k + 1}" for k in range(dim)]
         potential = parse_expression(config["potential"], variables)
-        inequalities = tuple(
-            parse_expression(text, variables) for text in config.get("domain", [])
-        )
-        box = np.asarray(config["box"], dtype=float)
-        if box.shape != (dim, 2):
-            raise ConfigError(f"box must be {dim} rows of [lo, hi]")
+        domain = Domain.from_config(config, variables)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad geometry config: {exc}") from exc
     structure = HessianStructure(
         name=name,
         dim=dim,
         potential=potential,
-        domain=Domain(inequalities, box),
+        domain=domain,
         seed=int(config.get("seed", 42)),
         samples=int(config.get("samples", DEFAULT_SAMPLES)),
     )

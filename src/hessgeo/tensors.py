@@ -4,12 +4,13 @@ Every field, whether a metric, a 2-form or an endomorphism, is one
 `TensorField`: an evaluator of a point or a batch of points.  Fields built from
 expressions carry analytic derivatives (order-3 jets, one walk per batch);
 fields only available numerically, and every field inside `finite_differences()`,
-differentiate by Richardson-extrapolated central finite differences with step
-`FD_STEP * max(1, |p|)` per point.  A field whose value and derivative come from
-the same per-point work reads both from one `point_bundle`, always computed
-exactly.  A check measures per-point defects on a whole sample and hands them
-to `report.measured`: invariance under maps with `invariance_defect`, flows with
-`flow_defect`, with `max_abs` and `largest` to reduce tensors and combine defects.
+differentiate by `fd_tensor_derivative`, Richardson-extrapolated central finite
+differences with step `FD_STEP * max(1, |p|)` per point.  A field whose value
+and derivative come from the same per-point work reads both from one
+`point_bundle`, always computed exactly.  A check measures per-point defects on
+a whole sample and hands them to `report.measured`: invariance under maps with
+`invariance_defect`, flows with `flow_defect`, with `max_abs` and `largest` to
+reduce tensors and combine defects.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "first_failure",
     "require_isometry",
     "is_positive_definite",
-    "fd_gradient",
     "fd_tensor_derivative",
 ]
 
@@ -119,9 +119,6 @@ def fd_tensor_derivative(func, p):
     p = np.asarray(p, dtype=float)
     h = FD_STEP * np.maximum(1.0, np.max(np.abs(p), axis=-1))
     return (4 * _central_difference(func, p, h / 2) - _central_difference(func, p, h)) / 3
-
-
-fd_gradient = fd_tensor_derivative  # the finite-difference gradient of a scalar evaluator
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,27 @@ MUTANTS = (
     # the derivative of g(xi, xi) with half its Jacobian term
     ("structures.py", "return 2.0 * (s.xi", "return 1.0 * (s.xi", "lorentz3",
      "conformal_norm_homothety"),
+    # lifted maps whose fiber part is B itself, not the fiber action of B (B^{-T} on T*M)
+    ("tensors.py", "fiber_linear(T.A)), b))", "T.A), b))", "sk_conic", "hk_psi_hat_invariance"),
+    # the derivative of f T with df (x) T subtracted, on TM and on T*M
+    ("structures.py", "T.derivative(p) + np.einsum", "T.derivative(p) - np.einsum", "orthant2",
+     "conformal_omega_ck_flow"),
+    ("structures.py", "T.derivative(p) + np.einsum", "T.derivative(p) - np.einsum", "sk_conic",
+     "chk_metric_flow"),
+    # the lifted field of the conformal suite with no fiber part A y
+    (
+        "rmap.py",
+        "    X = lift_field(ss.xi, ss.xi.A, ss.xi.b)\n    omega_ck",
+        "    X = lift_field(ss.xi, 0 * ss.xi.A, ss.xi.b)\n    omega_ck",
+        "orthant2",
+        "conformal_omega_ck_flow",
+    ),
+    # `blocks` with its lower-left block transposed: I2's w becomes w^T = -w, so I2^2 = +Id
+    ("tensors.py", "out[..., n:, :n] = c", "out[..., n:, :n] = c.swapaxes(-1, -2)", "sk_cubic",
+     "hk_quaternion"),
+    # Not listed, because it is equivalent: Newton with half a step,
+    # `y = y + 0.5 * step` in cmap._newton_invert, converges to the same root
+    # (hk_quaternion on sk_cubic reads 3.0e-15).
 )
 
 

@@ -398,6 +398,10 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
             CHECK_CFG,
             "w = I^T g = lambda Omega singular at lambda = 0.0",
         ),
+        # a direct special Kahler config with a misshapen box, or no coordinates
+        ({**SK_CONFIG, "box": [[-1, 1]]}, CHECK_CFG, "box must be 2 rows of [lo, hi]"),
+        ({**SK_CONFIG, "box": [[-1, 1, 0], [-1, 1, 0]]}, CHECK_CFG, "box must be 2 rows of [lo, hi]"),
+        ({**SK_CONFIG, "dim": 0, "I": [], "box": []}, CHECK_CFG, "dim must be even and at least 2"),
         # an assumed or informational entry has a tolerance that gates nothing
         (
             None,
@@ -413,7 +417,7 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
-        "sk-zero-I", "sk-identity-I", "tol-ungated",
+        "sk-zero-I", "sk-identity-I", "sk-short-box", "sk-wide-box", "sk-zero-dim", "tol-ungated",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):
