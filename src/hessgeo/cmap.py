@@ -305,6 +305,8 @@ def prepotential_from_config(config) -> SpecialKahlerStructure:
     """Prepotential configuration {name, m, F, box, seed, samples}."""
     try:
         m = int(config["m"])
+        if m < 1:
+            raise ConfigError(f"m must be at least 1, got {m}")
         variables = [f"z{k + 1}" for k in range(m)]
         F = parse_expression(config["F"], variables, mode="complex")
         zbox = np.asarray(config["box"], dtype=float)

@@ -101,14 +101,11 @@ def check_kahler(lift: KahlerLift, samples=None):
 
 def check_potential_identity(lift: KahlerLift, samples=None):
     """g_r equals the complex Hessian of 4 phi(x) on M x R^n."""
-    base = lift.base
-    n = base.dim
-    variables = list(base.potential.variables) + [f"y{k + 1}" for k in range(n)]
-    lifted_potential = parse_expression(
-        f"4.0*({base.potential.serialize()})", variables
-    )
-    jet = lifted_potential.jet3
-    hessian = TensorField(2 * n, lambda q: jet(q).gradient, lambda q: jet(q).hessian)
+    n, potential = lift.base.dim, lift.base.potential
+    variables = list(potential.variables) + [f"y{k + 1}" for k in range(n)]
+    jet = parse_expression(f"4.0*({potential.serialize()})", variables).jet3
+    # the field's value is a gradient, its derivative a Hessian: jets of order 1 and 2
+    hessian = TensorField(2 * n, lambda q: jet(q, 1).gradient, lambda q: jet(q, 2).hessian)
     points = lift.sample_points(samples)
     H = hessian.derivative(points)
     # Hermitian components 4 * d^2 phi / dz^i dz*^j realified

@@ -268,15 +268,16 @@ def make_hessian_structure(config) -> HessianStructure:
     field: [expr...] (optional), field_affine: {A, b} (optional), seed, samples}.
     """
     try:
-        name = config.get("name", "geometry")
         dim = int(config["dim"])
+        if dim < 1:
+            raise ConfigError(f"dim must be at least 1, got {dim}")
         variables = [f"x{k + 1}" for k in range(dim)]
         potential = parse_expression(config["potential"], variables)
         domain = Domain.from_config(config, variables)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad geometry config: {exc}") from exc
     structure = HessianStructure(
-        name=name,
+        name=config.get("name", "geometry"),
         dim=dim,
         potential=potential,
         domain=domain,

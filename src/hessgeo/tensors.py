@@ -147,7 +147,7 @@ class TensorField:
     @classmethod
     def from_components(cls, components):
         """Explicit component expressions: one value-only pass per component
-        for the value, one jet pass per component for the derivative."""
+        for the value, one order-1 jet pass per component for the derivative."""
         comps = [list(row) for row in components]
 
         def stacked(f):  # entries (i, j, ...) -> (..., i, j)
@@ -155,7 +155,7 @@ class TensorField:
                 np.array([[f(c, p) for c in row] for row in comps], dtype=float), (0, 1), (-2, -1)
             )
 
-        value, gradient = stacked(lambda c, p: c(p)), stacked(lambda c, p: c.jet3(p).gradient)
+        value, gradient = stacked(lambda c, p: c(p)), stacked(lambda c, p: c.jet3(p, 1).gradient)
         return cls(len(comps), value, gradient)
 
     @classmethod

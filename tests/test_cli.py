@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden import regen as golden
+from walks import count_walks
 
-from hessgeo import cmap, structures
+from hessgeo import cmap, cones, structures
 from hessgeo.cli import (
     GEOMETRY_NAMES,
     KINDS,
@@ -20,7 +21,6 @@ from hessgeo.cli import (
     resolve_geometry,
     run_check,
 )
-from hessgeo.expressions import ScalarExpression
 
 CONE_SUITES = ("hessian", "rmap", "selfsimilar", "cone", "conformal")
 HESSIAN_CONFIG = {
@@ -402,6 +402,9 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         ({**SK_CONFIG, "box": [[-1, 1]]}, CHECK_CFG, "box must be 2 rows of [lo, hi]"),
         ({**SK_CONFIG, "box": [[-1, 1, 0], [-1, 1, 0]]}, CHECK_CFG, "box must be 2 rows of [lo, hi]"),
         ({**SK_CONFIG, "dim": 0, "I": [], "box": []}, CHECK_CFG, "dim must be even and at least 2"),
+        # a nonpositive dimension, named before the box of that many rows is read
+        ({"dim": -2, "potential": "1", "box": []}, CHECK_CFG, "dim must be at least 1, got -2"),
+        ({"m": -1, "F": "1", "box": []}, CHECK_CFG, "m must be at least 1, got -1"),
         # an assumed or informational entry has a tolerance that gates nothing
         (
             None,
@@ -417,7 +420,8 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         "config-negative-seed", "config-text-seed", "config-zero-samples",
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
-        "sk-zero-I", "sk-identity-I", "sk-short-box", "sk-wide-box", "sk-zero-dim", "tol-ungated",
+        "sk-zero-I", "sk-identity-I", "sk-short-box", "sk-wide-box", "sk-zero-dim",
+        "negative-dim", "prepotential-negative-m", "tol-ungated",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):
@@ -522,18 +526,17 @@ def test_cone_check_makes_one_jet_per_distinct_point(monkeypatch, geometry):
     # (950 walks), every other field evaluation once for its whole sample, and
     # the domain sampler tests each draw alone: a check that changes how it
     # walks its points fails this
-    walks = {"jet3": [], "__call__": []}
-    for name, rows in walks.items():
-        original = getattr(ScalarExpression, name)
-
-        def counted(expr, p, _original=original, _rows=rows):
-            _rows.append(int(np.prod(np.shape(p)[:-1])))
-            return _original(expr, p)
-
-        monkeypatch.setattr(ScalarExpression, name, counted)
+    walks = count_walks(monkeypatch, ("jet3", "__call__"))
     run_check(geometry, ["all"], None, 42)
-    counts = {name: (len(rows), sum(rows), rows.count(1)) for name, rows in walks.items()}
+    counts = {}
+    for name in ("jet3", "__call__"):
+        rows = [int(np.prod(shape[:-1])) for walk, shape, _ in walks if walk == name]
+        counts[name] = (len(rows), sum(rows), rows.count(1))
     assert counts == {"jet3": (1080, 6740, 950), "__call__": (2480, 2480, 2480)}
+    # the lifted potential over the 2n variables of TM is read to its Hessian,
+    # so no walk over them builds third derivatives
+    n = cones.preset(geometry).dim
+    assert {order for _, shape, order in walks if shape[-1] == 2 * n} == {2}
 
 
 def test_special_kahler_check_assembles_one_frame_per_point(monkeypatch):

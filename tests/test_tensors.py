@@ -5,13 +5,14 @@ import pkgutil
 import numpy as np
 import pytest
 from flows import affine_flow
+from walks import count_walks
 
 import hessgeo
 
 from hessgeo.cmap import special_kahler_preset
 from hessgeo.cones import preset
 from hessgeo.errors import DomainError
-from hessgeo.expressions import ScalarExpression, parse_expression
+from hessgeo.expressions import parse_expression
 from hessgeo.report import measured
 from hessgeo.tensors import (
     AffineAutomorphism,
@@ -50,43 +51,29 @@ def test_hessian_metric_oracle():
     assert D[0, 1, 1] == pytest.approx(0.0)
 
 
-def _count_walks(monkeypatch, names=("jet3",)):
-    """Each tree walk of the named `ScalarExpression` passes: (pass, shape of its points)."""
-    walks = []
-    for name in names:
-        original = getattr(ScalarExpression, name)
-
-        def counted(expr, p, _original=original, _name=name):
-            walks.append((_name, np.shape(p)))
-            return _original(expr, p)
-
-        monkeypatch.setattr(ScalarExpression, name, counted)
-    return walks
-
-
 def test_potential_field_makes_one_jet_per_point(monkeypatch):
     # one tree walk per evaluation, over every point of a batch at once
     potential = parse_expression("1/(x1*x2)+x1^4", VARS)
     g = TensorField.from_potential(potential)
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
     points = np.array([[0.8, 1.4], [1.1, 0.7], [0.8, 1.4]])
     H, D = g(points), g.derivative(points)
-    assert walks == [("jet3", (3, 2))] * 2
+    assert walks == [("jet3", (3, 2), 3)] * 2
     assert H.shape == (3, 2, 2) and D.shape == (3, 2, 2, 2)
     for p, Hp, Dp in zip(points, H, D):
         assert np.array_equal(Hp, g(p)) and np.array_equal(Dp, g.derivative(p))
-    assert walks[2:] == [("jet3", (2,))] * 6
+    assert walks[2:] == [("jet3", (2,), 3)] * 6
 
 
 def test_component_field_makes_one_jet_per_component_per_point(monkeypatch):
-    # per component, one value-only walk for the value and one jet walk for
-    # the derivative, over every point of a batch at once
+    # per component, one value-only walk for the value and one order-1 jet
+    # walk for the derivative, a gradient, over every point of a batch at once
     rows = (("1", "x1*x2"), ("x1*x2", "1+x1^2"))
     g = TensorField.from_components([[parse_expression(t, VARS) for t in row] for row in rows])
-    walks = _count_walks(monkeypatch, ("jet3", "__call__"))
+    walks = count_walks(monkeypatch, ("jet3", "__call__"))
     points = np.array([[0.8, 1.4], [2.0, 0.5], [0.8, 1.4]])
     value, derivative = g(points), g.derivative(points)
-    assert walks == [("__call__", (3, 2))] * 4 + [("jet3", (3, 2))] * 4
+    assert walks == [("__call__", (3, 2), 0)] * 4 + [("jet3", (3, 2), 1)] * 4
     for k in (0, 2):
         assert value[k] == pytest.approx(np.array([[1.0, 1.12], [1.12, 1.64]]))
         assert derivative[k][:, 1, 1] == pytest.approx([1.6, 0.0])
