@@ -68,6 +68,7 @@ from .tensors import (
     require_isometry,
     standard_symplectic,
     symmetry_defect,
+    zero_fiber_rows,
 )
 
 __all__ = [
@@ -393,9 +394,9 @@ def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame
     return HyperKahlerFrame(blocks(g, 0, 0, ginv), I1, I2, I1 @ I2)
 
 
-def _frame_derivative(sk: SpecialKahlerStructure, q, frame) -> HyperKahlerFrame:
-    """D[k] = d_k of each frame matrix for the n base coordinates q of T*M,
-    from the frame at q and dg, dI there; the rows along p vanish."""
+def _frame_derivative(sk: SpecialKahlerStructure, q, frame):
+    """D[k] = d_k of g_c, I1 and I2 for the n base coordinates q of T*M, from
+    the frame at q and dg, dI there; the rows along p, all zero, are left out."""
     n = sk.dim
     g, I = frame.gc[:n, :n], frame.I1[:n, :n]
     dg, dI = sk.metric.derivative(q), sk.complex_structure.derivative(q)
@@ -405,21 +406,34 @@ def _frame_derivative(sk: SpecialKahlerStructure, q, frame) -> HyperKahlerFrame:
     dgc = blocks(dg, 0, 0, -ginv @ dg @ ginv)  # d(g^{-1}) = -g^{-1} dg g^{-1}
     dI1 = blocks(dI, 0, 0, dIT)
     dI2 = blocks(0, winv @ dw @ winv, dw, 0)  # d(-w^{-1}) = w^{-1} dw w^{-1}
-    return HyperKahlerFrame(dgc, dI1, dI2, dI1 @ frame.I2 + frame.I1 @ dI2)
+    return dgc, dI1, dI2
 
 
 def _frame_fields(sk: SpecialKahlerStructure):
-    """g_c and (I1, I2, I3) on T*M with exact derivatives, from one bundle per q."""
-    n = sk.dim
+    """g_c and (I1, I2, I3) on T*M with exact derivatives.  A bundle per q holds (g_c, I1, I2)
+    and their base rows; a read builds I3 = I1 I2, dI3 and the zero fiber rows, read-only."""
 
     def frame_and_derivative(q):
         frame = build_hyperkahler(sk, q)
-        base_rows = _frame_derivative(sk, q, frame)
-        return (*frame, *(np.concatenate([D, np.zeros_like(D)]) for D in base_rows))
+        return (*frame[:3], *_frame_derivative(sk, q, frame))
 
     at_q = point_bundle(frame_and_derivative)
-    gc, I1, I2, I3 = (
-        TensorField.from_bundle(2 * n, lambda pt: at_q(pt[..., :n]), k, k + 4) for k in range(4)
+
+    def read(build):  # build(gc, I1, I2, dgc, dI1, dI2) from the entries at q
+        def at(pt):
+            out = build(*at_q(pt[..., : sk.dim]))
+            out.setflags(write=False)
+            return out
+
+        return at
+
+    def field(value, base_rows):
+        return TensorField(2 * sk.dim, read(value), read(lambda *e: zero_fiber_rows(base_rows(*e))))
+
+    gc, I1, I2 = (field(lambda *e, k=k: e[k], lambda *e, k=k: e[k + 3]) for k in range(3))
+    I3 = field(
+        lambda gc, I1, I2, *_: I1 @ I2,
+        lambda gc, I1, I2, dgc, dI1, dI2: dI1 @ I2[..., None, :, :] + I1[..., None, :, :] @ dI2,
     )
     return gc, (I1, I2, I3)
 

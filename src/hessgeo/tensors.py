@@ -37,6 +37,7 @@ __all__ = [
     "max_abs",
     "largest",
     "blocks",
+    "zero_fiber_rows",
     "lift_tensor",
     "standard_symplectic",
     "bundle_sample_points",
@@ -58,10 +59,10 @@ __all__ = [
 ]
 
 FD_STEP = 1e-5
-# A default `check sk_flat` visits 442 distinct Darboux points, and
-# `check sk_flat --seed 4 --fd-check` 1,242, whose checks pass over the same
-# finite-difference stencils one after another: at this size it makes 1,282
-# Newton inversions (8,951 at 512).  At m = 2 the cache holds about 2 MB.
+# A default `check sk_flat` visits 442 distinct Darboux points, and `check sk_flat --seed 4
+# --fd-check` 1,242, whose checks pass over the same finite-difference stencils one after another:
+# at this size it makes 1,282 Newton inversions (8,951 at 512).  A point holds 10,672 bytes of
+# arrays at m = 2, 8,584 of them the T*M frame's, so a full cache about 11 MB.
 POINT_CACHE_SIZE = 1024
 
 # on in `finite_differences()`, off in `point_bundle`; read by `TensorField.derivative` alone
@@ -132,12 +133,6 @@ class TensorField:
     dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
-    def from_bundle(cls, dim, bundle, value, derivative):
-        """The field whose value and derivative are entries `value` and
-        `derivative` of `bundle(p)`."""
-        return cls(dim, lambda p: bundle(p)[value], lambda p: bundle(p)[derivative])
-
-    @classmethod
     def from_potential(cls, potential: ScalarExpression):
         """Hess(potential), with the third derivatives as its derivative:
         one jet pass over the points for either."""
@@ -202,11 +197,9 @@ class AffineAutomorphism:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        if abs(np.linalg.det(A)) <= 1e-12:
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        if abs(np.linalg.det(self.A)) <= 1e-12:
             raise ValueError("affine automorphism with singular linear part")
 
     @classmethod
@@ -225,12 +218,7 @@ def blocks(a, b, c, d):
     """[[a, b], [c, d]] over the last two axes.  The blocks are real numpy
     arrays of one shape: (n, n) matrices, or stacks (..., n, n) of derivative
     slices.  A block given as 0 (anything but an array) is zero and skipped."""
-    given = (
-        a if isinstance(a, np.ndarray)
-        else b if isinstance(b, np.ndarray)
-        else c if isinstance(c, np.ndarray)
-        else d
-    )
+    given = next(block for block in (a, b, c, d) if isinstance(block, np.ndarray))
     n = given.shape[-1]
     out = np.zeros(given.shape[:-2] + (2 * n, 2 * n))
     if isinstance(a, np.ndarray):
@@ -244,17 +232,21 @@ def blocks(a, b, c, d):
     return out
 
 
+def zero_fiber_rows(D):
+    """D[..., k, i, j] over the base coordinates of M x R^n, with the fiber's zero rows appended."""
+    return np.concatenate([D, np.zeros_like(D)], axis=-3)
+
+
 def lift_tensor(g: TensorField, assemble):
     """The field assemble(g(x)) at the points (x, y) of M x R^n, for a linear
     `assemble` such as a `blocks` layout: its derivative is
     assemble(g.derivative(x)) on the base rows and zero on the fiber rows."""
     n = g.dim
-
-    def derivative(p):
-        D = assemble(g.derivative(p[..., :n]))
-        return np.concatenate([D, np.zeros_like(D)], axis=-3)
-
-    return TensorField(2 * n, lambda p: assemble(g(p[..., :n])), derivative)
+    return TensorField(
+        2 * n,
+        lambda p: assemble(g(p[..., :n])),
+        lambda p: zero_fiber_rows(assemble(g.derivative(p[..., :n]))),
+    )
 
 
 def standard_symplectic(m):
@@ -277,8 +269,7 @@ def lift_automorphisms(autos, fiber_linear, shifts=()):
     there are none."""
     lifted = []
     for k, T in enumerate(autos):
-        n = T.A.shape[0]
-        shift = shifts[k % len(shifts)] if len(shifts) else np.zeros(n)
+        shift = shifts[k % len(shifts)] if len(shifts) else np.zeros(len(T.b))
         b = np.concatenate([T.b, np.asarray(shift, dtype=float)])
         lifted.append(AffineAutomorphism(blocks(T.A, 0, 0, fiber_linear(T.A)), b))
     return lifted
@@ -295,18 +286,14 @@ def lie_derivative_metric(T: TensorField, xi: VectorFieldSpec, p):
     """(L_xi T)_ij of a covariant 2-tensor T, a metric or a 2-form:
     xi^k d_k T_ij + T_kj d_i xi^k + T_ik d_j xi^k."""
     p = np.asarray(p, dtype=float)
-    Tp = T(p)
-    DT = T.derivative(p)
-    J = xi.jacobian(p)
+    Tp, DT, J = T(p), T.derivative(p), xi.jacobian(p)
     return np.einsum("...k,...kij->...ij", xi.value(p), DT) + J.T @ Tp + Tp @ J
 
 
 def lie_derivative_endomorphism(J: TensorField, xi: VectorFieldSpec, p):
     """(L_xi J)^i_j = xi^k d_k J^i_j - J^k_j d_k xi^i + J^i_k d_j xi^k."""
     p = np.asarray(p, dtype=float)
-    Jm = J(p)
-    DJ = J.derivative(p)
-    X = xi.jacobian(p)
+    Jm, DJ, X = J(p), J.derivative(p), xi.jacobian(p)
     return np.einsum("...k,...kij->...ij", xi.value(p), DJ) + Jm @ X - X @ Jm
 
 
@@ -337,8 +324,7 @@ def symmetry_defect(D):
 def nijenhuis(J: TensorField, p):
     """Nijenhuis tensor N^i_{jk}, antisymmetric in j, k."""
     p = np.asarray(p, dtype=float)
-    Jm = J(p)
-    D = J.derivative(p)  # D[m,i,j] = d_m J^i_j
+    Jm, D = J(p), J.derivative(p)  # D[m,i,j] = d_m J^i_j
     # N(X,Y)^i = J^m_j d_m J^i_k - J^m_k d_m J^i_j - J^i_m (d_j J^m_k - d_k J^m_j)
     t1 = np.einsum("...mj,...mik->...ijk", Jm, D)
     t2 = np.einsum("...mk,...mij->...ijk", Jm, D)

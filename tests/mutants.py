@@ -64,9 +64,21 @@ MUTANTS = (
     # `blocks` with its lower-left block transposed: I2's w becomes w^T = -w, so I2^2 = +Id
     ("tensors.py", "out[..., n:, :n] = c", "out[..., n:, :n] = c.swapaxes(-1, -2)", "sk_cubic",
      "hk_quaternion"),
-    # Not listed, because it is equivalent: Newton with half a step,
-    # `y = y + 0.5 * step` in cmap._newton_invert, converges to the same root
-    # (hk_quaternion on sk_cubic reads 3.0e-15).
+    # I3 read as I2 I1 = -I1 I2 from the frame bundle
+    ("cmap.py", "lambda gc, I1, I2, *_: I1 @ I2,", "lambda gc, I1, I2, *_: I2 @ I1,", "sk_cubic",
+     "hk_quaternion"),
+    # dI3 read without its dI1 I2 term
+    ("cmap.py", "dI1 @ I2[..., None, :, :] + I1", "I1", "sk_conic", "hk_closed_forms"),
+    # the fiber rows of a lifted derivative copied from its base rows, not zero:
+    # the T*M frame and the TM lift share them
+    ("tensors.py", "[D, np.zeros_like(D)]", "[D, D]", "sk_conic", "hk_closed_forms"),
+    ("tensors.py", "[D, np.zeros_like(D)]", "[D, D]", "orthant2", "conformal_omega_ck_flow"),
+    # Not listed, because they are equivalent:
+    # - Newton with half a step, `y = y + 0.5 * step` in cmap._newton_invert,
+    #   converges to the same root (hk_quaternion on sk_cubic reads 3.0e-15).
+    # - dI3 read without its I1 dI2 term: w = I^T g is the constant
+    #   lambda Omega, so dI2 is zero up to round-off (hk_closed_forms on
+    #   sk_conic reads 5.9e-14, chk_complex_structures_flow 4.4e-13).
 )
 
 

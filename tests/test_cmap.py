@@ -6,6 +6,7 @@ from hessgeo.cmap import (
     Prepotential,
     FIBER_SALT,
     _derivatives_at_z,
+    _frame_derivative,
     _frame_fields,
     _newton_invert,
     _values_at_z,
@@ -33,6 +34,7 @@ from hessgeo.tensors import (
     fd_tensor_derivative,
     finite_differences,
     lift_automorphisms,
+    point_bundle,
     require_isometry,
 )
 
@@ -317,6 +319,55 @@ def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):
                 field(shifted)
                 field.derivative(shifted)
     assert len(calls) == len(set(calls)) == len(points)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+def test_frame_bundle_holds_three_matrices_and_their_base_rows(monkeypatch, batch):
+    sk = special_kahler_preset("sk_conic", samples=3)
+    n = sk.dim
+    reads = []
+
+    def recorded(compute):
+        at = point_bundle(compute)
+
+        def read(q):
+            reads.append(at(q))
+            return reads[-1]
+
+        return read
+
+    monkeypatch.setattr(cmap, "point_bundle", recorded)
+    gc, _ = _frame_fields(sk)
+    points = bundle_sample_points(sk, 3, 0, FIBER_SALT)
+    gc(points if batch else points[0])
+    (entry,) = reads
+    lead = (3,) if batch else ()
+    assert [a.shape for a in entry] == [lead + (2 * n, 2 * n)] * 3 + [lead + (n, 2 * n, 2 * n)] * 3
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+def test_frame_reads_build_i3_and_the_zero_fiber_rows(batch):
+    sk = special_kahler_preset("sk_conic", samples=3)
+    n = sk.dim
+    points = bundle_sample_points(sk, 3, 0, FIBER_SALT)
+    gc_field, I_fields = _frame_fields(sk)
+    at = points if batch else points[0]
+    reads = [read(at) for f in (gc_field, *I_fields) for read in (f, f.derivative)]
+    for read in reads:
+        assert not read.flags.writeable
+    # a point read as a batch of one
+    (gc, dgc), (I1, dI1), (I2, dI2), (I3, dI3) = (
+        (v, d) if batch else (v[None], d[None]) for v, d in zip(reads[::2], reads[1::2])
+    )
+    for D in (dgc, dI1, dI2, dI3):
+        assert D.shape == (len(I1), 2 * n, 2 * n, 2 * n)
+        assert np.all(D[:, n:] == 0.0)
+    for k, q in enumerate(points[: len(I1), :n]):
+        exact = _frame_derivative(sk, q, build_hyperkahler(sk, q))
+        for D, base_rows in zip((dgc, dI1, dI2), exact):
+            assert np.array_equal(D[k, :n], base_rows)
+        assert np.array_equal(I3[k], I1[k] @ I2[k])
+        assert np.array_equal(dI3[k, :n], dI1[k, :n] @ I2[k] + I1[k] @ dI2[k, :n])
 
 
 def test_cached_darboux_tensors_are_read_only():
