@@ -20,7 +20,7 @@ def main():
         cone = preset(name)
         print(f"== {name} (dim {cone.dim}) ==")
         print(f"   characteristic potential: {cone.phi_char.serialize()}")
-        p = cone.domain.box.mean(axis=1)
+        p = cone.can.domain.box.mean(axis=1)
         can, con = cone.can, cone.con
         print(f"   g_can at {p}:")
         print(np.array_str(can.metric(p), precision=4))

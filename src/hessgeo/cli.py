@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .structures import (
     conformal_rescaling,
     field_from_config,
     make_hessian_structure,
+    require_count,
 )
 from .expressions import parse_expression
 from .tensors import (
@@ -47,6 +48,8 @@ COUNTEREXAMPLES = ("noncone_counterexample",)
 GEOMETRY_NAMES = PRESETS + COUNTEREXAMPLES
 
 SUITE_NAMES = ("hessian", "rmap", "selfsimilar", "cone", "cmap", "conformal", "all")
+# the suites `--fd-check` never reruns inside `finite_differences()`
+EXACT_ONLY_SUITES = ("hessian", "cone")
 
 NONCONE_POINT = np.array([0.5, 0.75, 0.3, -0.2])
 
@@ -77,8 +80,8 @@ def resolve_geometry(name, seed, samples):
     """Returns (kind, object); the kind, a key of KINDS, fixes the suites
     and tensors the geometry offers.  The seed, the sample count and those a
     config states itself are checked here, where they enter."""
-    _require_count("--seed", seed, 0)
-    _require_count("--samples", samples, 1)
+    require_count("--seed", seed, 0)
+    require_count("--samples", samples, 1)
     if name in cones_mod.PRESET_NAMES:
         return "cone", cones_mod.preset(name, seed)
     if name in cmap_mod.SK_PRESET_NAMES:
@@ -87,8 +90,8 @@ def resolve_geometry(name, seed, samples):
         return "noncone", noncone_structure(seed=seed, samples=samples)
     if name.endswith(".json"):
         config = _read_config(name)
-        _require_count("the config's seed", config.setdefault("seed", seed), 0)
-        _require_count("the config's samples", config.setdefault("samples", samples), 1)
+        require_count("the config's seed", config.setdefault("seed", seed), 0)
+        require_count("the config's samples", config.setdefault("samples", samples), 1)
         if "F" in config:
             return _special_kahler(cmap_mod.prepotential_from_config(config))
         if "I" in config:
@@ -112,14 +115,6 @@ def _read_config(path):
     return config
 
 
-def _require_count(what, value, least):
-    """Raises ConfigError unless `value` is an integer of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{what} must be at least {least}, got {value}")
-
-
 def _special_kahler(sk):
     """(kind, sk): "sk_homothetic" when the Euler field xi(q) = q validates as
     homothetic, as for a prepotential homogeneous of degree 2; else "sk"."""
@@ -133,32 +128,24 @@ def _special_kahler(sk):
 # -- generic suites --------------------------------------------------------
 
 
-def rmap_suite(
-    structure: HessianStructure,
-    samples=None,
-    automorphisms=(),
-    fiber_shifts=(),
-    noncone_point=None,
-) -> List[CheckResult]:
+def rmap_suite(structure: HessianStructure, samples=None) -> List[CheckResult]:
     lift = rmap_mod.build_kahler_lift(structure)
     entries = [rmap_mod.check_kahler(lift, samples)]
     if structure.potential is not None:
         entries.append(rmap_mod.check_potential_identity(lift, samples))
-    if automorphisms:
-        entries.append(
-            rmap_mod.check_invariance_psi(lift, automorphisms, fiber_shifts, samples)
-        )
-    if noncone_point is not None:
-        dw = exterior_derivative_2form(lift.omega, noncone_point[None])
-        entries.append(
-            measured(
-                "noncone_exterior_value",
-                "max |d(omega)| at the marked point equals 1 exactly",
-                1e-3,
-                np.abs(max_abs(dw, 3) - 1.0),
-            )
-        )
     return entries
+
+
+def _noncone_rmap(structure: HessianStructure, samples=None) -> List[CheckResult]:
+    dw = exterior_derivative_2form(rmap_mod.build_kahler_lift(structure).omega, NONCONE_POINT[None])
+    return rmap_suite(structure, samples) + [
+        measured(
+            "noncone_exterior_value",
+            "max |d(omega)| at the marked point equals 1 exactly",
+            1e-3,
+            np.abs(max_abs(dw, 3) - 1.0),
+        )
+    ]
 
 
 def _assumed_hypotheses():
@@ -177,7 +164,6 @@ def selfsimilar_suite(structure: SelfsimilarHessianStructure, samples=None) -> L
     return [
         check_selfsimilar(structure.base, structure.xi, samples),
         rmap_mod.check_lemma_xi_items(structure, samples),
-        _assumed_hypotheses(),
     ]
 
 
@@ -268,17 +254,14 @@ class Kind:
     """What one kind of geometry offers.
 
     `suites` maps each applicable suite, in run order, to a runner
-    (obj, samples) -> entries; `--fd-check` reruns those of `fd_suites`
-    inside `finite_differences()`.  `tensors` maps each `eval` tensor to
-    (obj, point) -> matrix, where the tensors of `base_tensors` take a
-    base point and the others a point (x, y) of the bundle.  `inside` tells
-    whether a base point lies in the geometry's domain.
+    (obj, samples) -> entries.  `tensors` maps each `eval` tensor to
+    obj -> the structure's own `TensorField`: a field of the geometry's
+    dimension takes a base point, any other a point (x, y) of the bundle.
+    `inside` tells whether a base point lies in the geometry's domain.
     """
 
     suites: Dict[str, Callable]
-    fd_suites: Tuple[str, ...]
     tensors: Dict[str, Callable]
-    base_tensors: Tuple[str, ...]
     inside: Callable
 
 
@@ -286,12 +269,13 @@ def _cone_rmap(cone, samples):
     autos = cones_mod.automorphism_samples(cone, 5)
     rng = np.random.default_rng([cone.seed, 11])
     shifts = [rng.uniform(-1.0, 1.0, cone.dim) for _ in autos]
-    return rmap_suite(cone.can, samples, autos, shifts)
+    lift = rmap_mod.build_kahler_lift(cone.can)
+    return rmap_suite(cone.can, samples) + [
+        rmap_mod.check_invariance_psi(lift, autos, shifts, samples)
+    ]
 
 
-def _hessian_kind(
-    structure_of, suites=None, fd_suites=("rmap",), tensors=None, base_tensors=("g",)
-):
+def _hessian_kind(structure_of, suites=None, tensors=None):
     """A kind whose geometry is a Hessian structure, `structure_of(obj)`:
     the hessian and rmap suites and the tensors g, gr and omega, plus extras."""
 
@@ -304,37 +288,27 @@ def _hessian_kind(
             "rmap": lambda obj, samples: rmap_suite(structure_of(obj), samples),
             **(suites or {}),
         },
-        fd_suites=fd_suites,
         tensors={
-            "g": lambda obj, x: structure_of(obj).metric(x),
-            "gr": lambda obj, p: lift(obj).metric(p),
-            "omega": lambda obj, p: lift(obj).omega(p),
+            "g": lambda obj: structure_of(obj).metric,
+            "gr": lambda obj: lift(obj).metric,
+            "omega": lambda obj: lift(obj).omega,
             **(tensors or {}),
         },
-        base_tensors=base_tensors,
-        inside=lambda obj, x: obj.domain.contains(x, margin=0.0),
-    )
-
-
-def _frame_tensor(name):
-    """A matrix of the hyper-Kahler frame at the point (q, p) of T*M."""
-    return lambda sk, p: getattr(
-        cmap_mod.build_hyperkahler(sk, p[: sk.dim], p[sk.dim :]), name
+        inside=lambda obj, x: structure_of(obj).domain.contains(x, margin=0.0),
     )
 
 
 def _sk_kind(suites, tensors=None):
     return Kind(
         suites={"cmap": cmap_suite, **suites},
-        fd_suites=("cmap", *suites),
         tensors={
-            "g": lambda sk, q: sk.metric(q),
-            "I": lambda sk, q: sk.complex_structure(q),
-            "omega": lambda sk, q: sk.omega(q),
-            **{name: _frame_tensor(name) for name in ("gc", "I1", "I2", "I3")},
+            "g": lambda sk: sk.metric,
+            "I": lambda sk: sk.complex_structure,
+            "omega": lambda sk: sk.omega,
+            "gc": lambda sk: sk.frame[0],
+            **{f"I{k + 1}": lambda sk, k=k: sk.frame[1][k] for k in range(3)},
             **(tensors or {}),
         },
-        base_tensors=("g", "I", "omega"),
         # a special Kahler structure lives where its metric (Im F'') is positive definite
         inside=lambda sk, q: is_positive_definite(sk.metric(q)),
     )
@@ -349,39 +323,29 @@ KINDS = {
             "cone": cone_suite,
             "conformal": cone_conformal_suite,
         },
-        fd_suites=("rmap", "selfsimilar", "conformal"),
         tensors={
-            "gcan": lambda cone, x: cone.can.metric(x),
-            "gcon": lambda cone, x: cone.con.metric(x),
-            "omega_ck": lambda cone, p: conformal_rescaling(
+            "gcan": lambda cone: cone.can.metric,
+            "gcon": lambda cone: cone.con.metric,
+            "omega_ck": lambda cone: conformal_rescaling(
                 cone.selfsimilar, rmap_mod.build_kahler_lift(cone.selfsimilar.base).omega
-            )(p),
-        },
-        base_tensors=("g", "gcan", "gcon"),
-    ),
-    "noncone": _hessian_kind(
-        lambda structure: structure,
-        suites={
-            "rmap": lambda structure, samples: rmap_suite(
-                structure, samples, noncone_point=NONCONE_POINT
             ),
         },
     ),
+    "noncone": _hessian_kind(lambda structure: structure, suites={"rmap": _noncone_rmap}),
     "hessian": _hessian_kind(lambda structure: structure),
     "selfsimilar": _hessian_kind(
         lambda ss: ss.base,
         suites={
             "selfsimilar": selfsimilar_suite,
-            "conformal": rmap_mod.check_conformal_invariance,
+            "conformal": lambda ss, samples: [
+                *rmap_mod.check_conformal_invariance(ss, samples), _assumed_hypotheses()
+            ],
         },
-        fd_suites=("rmap", "selfsimilar", "conformal"),
     ),
     "sk": _sk_kind({}),
     "sk_homothetic": _sk_kind(
         {"conformal": sk_conformal_suite},
-        {
-            "g_chk": lambda sk, p: conformal_rescaling(_euler_selfsimilar(sk), sk.frame[0])(p),
-        },
+        {"g_chk": lambda sk: conformal_rescaling(_euler_selfsimilar(sk), sk.frame[0])},
     ),
 }
 
@@ -391,10 +355,7 @@ def applicable_suites(kind):
 
 
 def run_suite(kind, obj, suite, samples):
-    runner = KINDS[kind].suites.get(suite)
-    if runner is None:
-        raise ConfigError(f"suite {suite!r} does not apply to this geometry")
-    return runner(obj, samples)
+    return KINDS[kind].suites[suite](obj, samples)
 
 
 def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
@@ -411,7 +372,7 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
     for suite in selected:
         entries = run_suite(kind, obj, suite, samples)
         report.extend(entries)
-        if fd_check and suite in KINDS[kind].fd_suites:
+        if fd_check and suite not in EXACT_ONLY_SUITES:
             with finite_differences():
                 twins = run_suite(kind, obj, suite, samples)
             for entry, twin in zip(entries, twins, strict=True):
@@ -426,14 +387,6 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
                         entry.samples,
                     )
                 )
-    seen = set()
-    deduped = []
-    for entry in report.entries:
-        if entry.status != "checked" and entry.check_id in seen:
-            continue
-        seen.add(entry.check_id)
-        deduped.append(entry)
-    report.entries = deduped
     if tol_overrides:
         unknown = sorted(set(tol_overrides) - {e.check_id for e in report.entries})
         if unknown:
@@ -463,19 +416,18 @@ def eval_tensor(name, tensor, point, seed=42):
     if not np.all(np.isfinite(point)):
         raise ConfigError(f"point coordinates must be finite, got {point.tolist()}")
     kind, obj = resolve_geometry(name, seed, 100)
-    spec = KINDS[kind]
-    n = obj.dim
-    if tensor in spec.base_tensors:
+    spec, n = KINDS[kind], obj.dim
+    if tensor not in spec.tensors:
+        raise ConfigError(f"tensor {tensor!r} is not available for geometry {name!r}")
+    field = spec.tensors[tensor](obj)
+    if field.dim == n:
         if len(point) != n:
             raise ConfigError(f"point must have {n} coordinates")
     else:
         point = _pad_fiber(point, n)
-    evaluate = spec.tensors.get(tensor)
-    if evaluate is None:
-        raise ConfigError(f"tensor {tensor!r} is not available for geometry {name!r}")
     if not spec.inside(obj, point[:n]):
         raise DomainError(f"point {point[:n].tolist()} lies outside the domain of {name!r}")
-    return evaluate(obj, point)
+    return field(point)
 
 
 def _pad_fiber(point, n):

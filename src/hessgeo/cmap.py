@@ -46,8 +46,10 @@ from .report import CheckResult, measured, require
 from .structures import (
     Domain,
     SelfsimilarHessianStructure,
+    config_box,
     conformal_rescaling,
     norm_homothety_defect,
+    require_count,
 )
 from .tensors import (
     AffineAutomorphism,
@@ -157,9 +159,10 @@ class SpecialKahlerStructure:
         """(g_c, (I1, I2, I3)) on T*M, one frame bundle per structure."""
         return _frame_fields(self)
 
-    def omega(self, q):
-        """w = g(I., .) as a matrix: I^T g."""
-        return self.complex_structure(q).T @ self.metric(q)
+    @cached_property
+    def omega(self):
+        """w = g(I., .) as a matrix field: I^T g."""
+        return _kahler_form(self.metric, self.complex_structure)
 
     def omega_constant(self):
         """lambda * Omega, with lambda estimated at the first sample."""
@@ -276,7 +279,8 @@ def special_kahler_from_prepotential(
 def special_kahler_from_config(config) -> SpecialKahlerStructure:
     """Direct configuration: explicit I components and potential over q1..q2m."""
     try:
-        dim = int(config["dim"])
+        dim = config["dim"]
+        require_count("dim", dim, 0)
         if dim < 2 or dim % 2:
             raise ConfigError(f"dim must be even and at least 2, got {dim}")
         m = dim // 2
@@ -305,14 +309,11 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
 def prepotential_from_config(config) -> SpecialKahlerStructure:
     """Prepotential configuration {name, m, F, box, seed, samples}."""
     try:
-        m = int(config["m"])
-        if m < 1:
-            raise ConfigError(f"m must be at least 1, got {m}")
+        m = config["m"]
+        require_count("m", m, 1)
         variables = [f"z{k + 1}" for k in range(m)]
         F = parse_expression(config["F"], variables, mode="complex")
-        zbox = np.asarray(config["box"], dtype=float)
-        if zbox.shape != (2 * m, 2):
-            raise ConfigError(f"box must be {2 * m} rows of [lo, hi]")
+        zbox = config_box(config, 2 * m)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad prepotential config: {exc}") from exc
     return special_kahler_from_prepotential(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import UnknownPreset
 from .expressions import ScalarExpression, parse_expression
 from .report import measured
-from .structures import Domain, SelfsimilarHessianStructure, make_hessian_structure
+from .structures import SelfsimilarHessianStructure, make_hessian_structure
 from .tensors import (
     AffineAutomorphism,
     VectorFieldSpec,
@@ -38,13 +38,12 @@ __all__ = ["ConePreset", "preset", "CONES", "PRESET_NAMES", "dilation_law", "rad
 class ConePreset:
     name: str
     phi_char: ScalarExpression
-    domain: Domain
     sample_automorphisms: Callable[[int, np.random.Generator, bool], List[AffineAutomorphism]]
     seed: int = 42
 
     @property
     def dim(self):
-        return self.domain.dim
+        return len(self.phi_char.variables)
 
     @property
     def rho(self):
@@ -159,10 +158,9 @@ PRESET_NAMES = tuple(CONES)
 def preset(name, seed=42) -> ConePreset:
     if name not in CONES:
         raise UnknownPreset(name)
-    phi, inequalities, box, sample = CONES[name]
+    phi, _, box, sample = CONES[name]
     variables = [f"x{k + 1}" for k in range(len(box))]
-    domain = Domain.from_config({"domain": inequalities, "box": box}, variables)
-    return ConePreset(name, parse_expression(phi, variables), domain, sample, seed)
+    return ConePreset(name, parse_expression(phi, variables), sample, seed)
 
 
 def automorphism_samples(cone: ConePreset, count=20, unimodular=False):

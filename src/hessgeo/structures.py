@@ -35,6 +35,8 @@ __all__ = [
     "HessianStructure",
     "SelfsimilarHessianStructure",
     "make_hessian_structure",
+    "require_count",
+    "config_box",
     "check_hessian",
     "check_selfsimilar",
     "norm_squared",
@@ -60,10 +62,7 @@ class Domain:
         """The domain of a config: its `domain` inequalities over `variables`
         and its `box`, which must hold one row [lo, hi] per variable."""
         inequalities = tuple(parse_expression(text, variables) for text in config.get("domain", []))
-        box = np.asarray(config["box"], dtype=float)
-        if box.shape != (len(variables), 2):
-            raise ConfigError(f"box must be {len(variables)} rows of [lo, hi]")
-        return cls(inequalities, box)
+        return cls(inequalities, config_box(config, len(variables)))
 
     @property
     def dim(self):
@@ -146,10 +145,6 @@ class SelfsimilarHessianStructure:
     @property
     def seed(self):
         return self.base.seed
-
-    @property
-    def domain(self):
-        return self.base.domain
 
     def validate(self):
         """Runs `check_selfsimilar`; raises on a failed entry."""
@@ -261,6 +256,24 @@ def norm_homothety_defect(s, points):
 # -- configuration ---------------------------------------------------------
 
 
+def require_count(what, value, least):
+    """Raises ConfigError unless `value` is an integer of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value}")
+
+
+def config_box(config, rows):
+    """The config's `box`: `rows` rows [lo, hi] of finite bounds with lo < hi."""
+    box = np.asarray(config["box"], dtype=float)
+    if box.shape != (rows, 2):
+        raise ConfigError(f"box must be {rows} rows of [lo, hi]")
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        raise ConfigError(f"box bounds must be finite with lo < hi, got {box.tolist()}")
+    return box
+
+
 def make_hessian_structure(config) -> HessianStructure:
     """Build and validate a structure from a geometry-config mapping.
 
@@ -268,9 +281,8 @@ def make_hessian_structure(config) -> HessianStructure:
     field: [expr...] (optional), field_affine: {A, b} (optional), seed, samples}.
     """
     try:
-        dim = int(config["dim"])
-        if dim < 1:
-            raise ConfigError(f"dim must be at least 1, got {dim}")
+        dim = config["dim"]
+        require_count("dim", dim, 1)
         variables = [f"x{k + 1}" for k in range(dim)]
         potential = parse_expression(config["potential"], variables)
         domain = Domain.from_config(config, variables)

@@ -69,12 +69,13 @@ def runs():
     out.append(["check", "sk_flat", "--seed", "4", "--fd-check", "--json"])
     for geometry in GEOMETRY_NAMES + CONFIGS:
         with _inside(HERE):
-            kind, _ = resolve_geometry(geometry, 42, 100)
-        spec = KINDS[kind]
+            kind, obj = resolve_geometry(geometry, 42, 100)
+        tensors = KINDS[kind].tensors
         base = BASE_POINTS[geometry]
         bundle = ",".join([base, *FIBER[: base.count(",") + 1]])
-        for tensor in (t for t in EVAL_TENSORS if t in spec.tensors):
-            points = (base,) if tensor in spec.base_tensors else (base, bundle)
+        for tensor in (t for t in EVAL_TENSORS if t in tensors):
+            # a field of the geometry's dimension lives on the base, any other on the bundle
+            points = (base,) if tensors[tensor](obj).dim == obj.dim else (base, bundle)
             out.extend(["eval", geometry, tensor, f"--at={at}", "--json"] for at in points)
     return out
 

@@ -12,6 +12,8 @@ from walks import count_walks
 
 from hessgeo import cmap, cones, structures
 from hessgeo.cli import (
+    EVAL_TENSORS,
+    EXACT_ONLY_SUITES,
     GEOMETRY_NAMES,
     KINDS,
     SUITE_NAMES,
@@ -360,9 +362,37 @@ def test_applicable_suites(tmp_path, monkeypatch, capsys, geometry, suites, inap
 def test_suite_table_covers_the_suite_names():
     offered = {suite for spec in KINDS.values() for suite in spec.suites}
     assert offered == set(SUITE_NAMES) - {"all"}
-    for spec in KINDS.values():
-        assert set(spec.fd_suites) <= set(spec.suites)
-        assert set(spec.base_tensors) <= set(spec.tensors)
+    assert set(EXACT_ONLY_SUITES) < offered
+    assert {tensor for spec in KINDS.values() for tensor in spec.tensors} == set(EVAL_TENSORS)
+
+
+HYPOTHESIS = "hypothesis_completeness_transitivity"
+
+
+@pytest.mark.parametrize(
+    "geometry, other",
+    [("orthant2", "selfsimilar"), ("field.json", "selfsimilar"), ("sk_flat", "cmap")],
+)
+def test_each_conformal_suite_states_its_hypothesis_once(tmp_path, monkeypatch, geometry, other):
+    # the hypothesis of the conformal theorems: stated by the conformal suite
+    # alone, so a full report holds it once
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "field.json").write_text(json.dumps({**HESSIAN_CONFIG, **FIELD}))
+
+    def count(suites):
+        return [e.check_id for e in run_check(geometry, suites, 5, 42).entries].count(HYPOTHESIS)
+
+    assert (count([other]), count(["conformal"]), count(["all"])) == (0, 1, 1)
+
+
+def test_eval_reads_the_fields_the_checks_read():
+    q, p = np.array([1, 1.05, -0.079, 0.129]), np.array([0.5, -0.25, 0.75, -1])
+    sk = cmap.special_kahler_preset("sk_conic")
+    frame, point = cmap.build_hyperkahler(sk, q, p), np.concatenate([q, p])
+    for name in ("gc", "I1", "I2", "I3"):
+        assert np.array_equal(eval_tensor("sk_conic", name, point), getattr(frame, name))
+    omega = eval_tensor("sk_conic", "omega", q)
+    assert np.array_equal(omega, sk.complex_structure(q).T @ sk.metric(q))
 
 
 FLAT_PREPOTENTIAL = {"m": 1, "F": "i*z1^2/2", "box": [[-1.0, 1.0], [-1.0, 1.0]]}
@@ -405,6 +435,23 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         # a nonpositive dimension, named before the box of that many rows is read
         ({"dim": -2, "potential": "1", "box": []}, CHECK_CFG, "dim must be at least 1, got -2"),
         ({"m": -1, "F": "1", "box": []}, CHECK_CFG, "m must be at least 1, got -1"),
+        # a count must be an integer: 2.7, "2", true and 1.9 are not
+        ({**HESSIAN_CONFIG, "dim": 2.7}, CHECK_CFG, "dim must be an integer, got 2.7"),
+        ({**HESSIAN_CONFIG, "dim": "2"}, CHECK_CFG, "dim must be an integer, got '2'"),
+        ({**SK_CONFIG, "dim": 2.0}, CHECK_CFG, "dim must be an integer, got 2.0"),
+        ({**FLAT_PREPOTENTIAL, "m": True}, CHECK_CFG, "m must be an integer, got True"),
+        ({**FLAT_PREPOTENTIAL, "m": 1.9}, CHECK_CFG, "m must be an integer, got 1.9"),
+        # a box bound that is not finite, or a row with lo >= hi
+        *(
+            (config, CHECK_CFG, "box bounds must be finite with lo < hi")
+            for config in (
+                {**HESSIAN_CONFIG, "box": [[0.5, float("inf")], [0.5, 2.0]]},
+                {**HESSIAN_CONFIG, "box": [[0.5, 2.0], [float("nan"), 2.0]]},
+                {**HESSIAN_CONFIG, "box": [[2.0, 0.5], [0.5, 2.0]]},
+                {**FLAT_PREPOTENTIAL, "box": [[-1.0, 1.0], [float("-inf"), 1.0]]},
+                {**FLAT_PREPOTENTIAL, "box": [[1.0, 1.0], [-1.0, 1.0]]},
+            )
+        ),
         # an assumed or informational entry has a tolerance that gates nothing
         (
             None,
@@ -421,7 +468,9 @@ CHECK_TOL = ["check", "orthant2", "--suite", "hessian", "--samples", "3", "--jso
         "prepotential-text-samples", "prepotential-zero-samples", "prepotential-negative-samples",
         "tol-nan", "tol-inf", "tol-negative", "tol-zero", "eval-underflow", "eval-overflow",
         "sk-zero-I", "sk-identity-I", "sk-short-box", "sk-wide-box", "sk-zero-dim",
-        "negative-dim", "prepotential-negative-m", "tol-ungated",
+        "negative-dim", "prepotential-negative-m", "float-dim", "text-dim", "sk-float-dim",
+        "prepotential-bool-m", "prepotential-float-m", "infinite-box", "nan-box",
+        "inverted-box", "prepotential-infinite-box", "prepotential-empty-box", "tol-ungated",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, config, argv, message):

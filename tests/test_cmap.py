@@ -107,6 +107,7 @@ def test_omega_is_constant_multiple_of_standard():
     assert w == pytest.approx(lam * standard_symplectic(sk.m))
     for q in sk.sample_points(5):
         assert sk.omega(q) == pytest.approx(w, abs=1e-12)
+        assert sk.omega.derivative(q) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hyperkahler_frame_algebra():
