@@ -36,8 +36,9 @@ from .expressions import parse_expression
 from .tensors import (
     TensorField,
     VectorFieldSpec,
+    bundle_sample_points,
     exterior_derivative_2form,
-    finite_differences,
+    fd_tensor_derivative,
     invariance_defect,
     is_positive_definite,
     max_abs,
@@ -48,8 +49,9 @@ COUNTEREXAMPLES = ("noncone_counterexample",)
 GEOMETRY_NAMES = PRESETS + COUNTEREXAMPLES
 
 SUITE_NAMES = ("hessian", "rmap", "selfsimilar", "cone", "cmap", "conformal", "all")
-# the suites `--fd-check` never reruns inside `finite_differences()`
-EXACT_ONLY_SUITES = ("hessian", "cone")
+# over seeds 1-50 and 42 on every preset and golden config, an unmutated audit reads at most 7.8e-9
+# (sk_conic, whose values carry the Newton tolerance); the tolerance leaves two decades above that
+FD_AUDIT_TOL = 1e-6
 
 NONCONE_POINT = np.array([0.5, 0.75, 0.3, -0.2])
 
@@ -78,8 +80,8 @@ def noncone_structure(seed=42, samples=100) -> HessianStructure:
 
 def resolve_geometry(name, seed, samples):
     """Returns (kind, object); the kind, a key of KINDS, fixes the suites
-    and tensors the geometry offers.  The seed, the sample count and those a
-    config states itself are checked here, where they enter."""
+    and tensors the geometry offers.  The seed and the sample count are
+    checked here, where they enter; a config's own, by its constructor."""
     require_count("--seed", seed, 0)
     require_count("--samples", samples, 1)
     if name in cones_mod.PRESET_NAMES:
@@ -89,9 +91,7 @@ def resolve_geometry(name, seed, samples):
     if name == "noncone_counterexample":
         return "noncone", noncone_structure(seed=seed, samples=samples)
     if name.endswith(".json"):
-        config = _read_config(name)
-        require_count("the config's seed", config.setdefault("seed", seed), 0)
-        require_count("the config's samples", config.setdefault("samples", samples), 1)
+        config = {"seed": seed, "samples": samples, **_read_config(name)}
         if "F" in config:
             return _special_kahler(cmap_mod.prepotential_from_config(config))
         if "I" in config:
@@ -257,12 +257,14 @@ class Kind:
     (obj, samples) -> entries.  `tensors` maps each `eval` tensor to
     obj -> the structure's own `TensorField`: a field of the geometry's
     dimension takes a base point, any other a point (x, y) of the bundle.
-    `inside` tells whether a base point lies in the geometry's domain.
+    `inside` tells whether a base point lies in the geometry's domain, and
+    `base` gives the structure whose samples `fd_audit` reads.
     """
 
     suites: Dict[str, Callable]
     tensors: Dict[str, Callable]
     inside: Callable
+    base: Callable
 
 
 def _cone_rmap(cone, samples):
@@ -275,9 +277,11 @@ def _cone_rmap(cone, samples):
     ]
 
 
-def _hessian_kind(structure_of, suites=None, tensors=None):
+def _hessian_kind(structure_of, suites=None, tensors=None, domain_of=None):
     """A kind whose geometry is a Hessian structure, `structure_of(obj)`:
-    the hessian and rmap suites and the tensors g, gr and omega, plus extras."""
+    the hessian and rmap suites and the tensors g, gr and omega, plus extras.
+    Its domain is `domain_of(obj)`, by default the structure's."""
+    domain_of = domain_of or (lambda obj: structure_of(obj).domain)
 
     def lift(obj):
         return rmap_mod.build_kahler_lift(structure_of(obj))
@@ -294,7 +298,8 @@ def _hessian_kind(structure_of, suites=None, tensors=None):
             "omega": lambda obj: lift(obj).omega,
             **(tensors or {}),
         },
-        inside=lambda obj, x: structure_of(obj).domain.contains(x, margin=0.0),
+        inside=lambda obj, x: domain_of(obj).contains(x, margin=0.0),
+        base=structure_of,
     )
 
 
@@ -311,6 +316,7 @@ def _sk_kind(suites, tensors=None):
         },
         # a special Kahler structure lives where its metric (Im F'') is positive definite
         inside=lambda sk, q: is_positive_definite(sk.metric(q)),
+        base=lambda sk: sk,
     )
 
 
@@ -330,6 +336,7 @@ KINDS = {
                 cone.selfsimilar, rmap_mod.build_kahler_lift(cone.selfsimilar.base).omega
             ),
         },
+        domain_of=lambda cone: cone.domain,
     ),
     "noncone": _hessian_kind(lambda structure: structure, suites={"rmap": _noncone_rmap}),
     "hessian": _hessian_kind(lambda structure: structure),
@@ -358,6 +365,27 @@ def run_suite(kind, obj, suite, samples):
     return KINDS[kind].suites[suite](obj, samples)
 
 
+def fd_audit(kind, obj, samples):
+    """One `<tensor>__fd_audit` entry per field of the kind: at each sample point,
+    max |dT - FD dT| / max(1, max |dT|) for the exact derivative dT and its finite
+    difference.  A field of the geometry's dimension is read at the base's sample points,
+    any other at bundle points over them.  The fields of one dimension share one
+    finite-difference pass, so each stencil point is evaluated once for all of them."""
+    spec = KINDS[kind]
+    points = bundle_sample_points(spec.base(obj), samples, 0, cmap_mod.FIBER_SALT)
+    fields = {name: tensor(obj) for name, tensor in spec.tensors.items()}
+    entries = []
+    for dim in dict.fromkeys(field.dim for field in fields.values()):
+        group, at = {n: f for n, f in fields.items() if f.dim == dim}, points[:, :dim]
+        fd = fd_tensor_derivative(lambda p: np.stack([f(p) for f in group.values()], -3), at)
+        for k, (name, field) in enumerate(group.items()):
+            exact = field.derivative(at)
+            defect = max_abs(exact - fd[..., k, :, :], 3) / np.maximum(1.0, max_abs(exact, 3))
+            claim = f"the exact derivative of {name} equals its finite difference"
+            entries.append(measured(f"{name}__fd_audit", claim, FD_AUDIT_TOL, defect))
+    return entries
+
+
 def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
     kind, obj = resolve_geometry(name, seed, 100 if samples is None else samples)
     available = applicable_suites(kind)
@@ -370,23 +398,9 @@ def run_check(name, suites, samples, seed, fd_check=False, tol_overrides=None):
         selected = tuple(dict.fromkeys(suites))  # each once, in the order given
     report = VerificationReport(geometry=name, seed=obj.seed)
     for suite in selected:
-        entries = run_suite(kind, obj, suite, samples)
-        report.extend(entries)
-        if fd_check and suite not in EXACT_ONLY_SUITES:
-            with finite_differences():
-                twins = run_suite(kind, obj, suite, samples)
-            for entry, twin in zip(entries, twins, strict=True):
-                if entry.status != "checked":
-                    continue
-                report.add(
-                    CheckResult(
-                        f"{entry.check_id}__fd_delta",
-                        "analytic and finite-difference residuals agree",
-                        abs(entry.residual - twin.residual),
-                        1e-3,
-                        entry.samples,
-                    )
-                )
+        report.extend(run_suite(kind, obj, suite, samples))
+    if fd_check:
+        report.extend(fd_audit(kind, obj, samples))
     if tol_overrides:
         unknown = sorted(set(tol_overrides) - {e.check_id for e in report.entries})
         if unknown:

@@ -301,8 +301,8 @@ def special_kahler_from_config(config) -> SpecialKahlerStructure:
         metric=TensorField.from_potential(potential),
         complex_structure=I,
         sampler=lambda count, rng: domain.sample(count, rng),
-        seed=int(config.get("seed", 42)),
-        samples=int(config.get("samples", 100)),
+        seed=require_count("seed", config.get("seed", 42), 0),
+        samples=require_count("samples", config.get("samples", 100), 1),
     )
 
 
@@ -319,8 +319,8 @@ def prepotential_from_config(config) -> SpecialKahlerStructure:
     return special_kahler_from_prepotential(
         Prepotential(m, F, zbox),
         name=config.get("name", "prepotential"),
-        seed=int(config.get("seed", 42)),
-        samples=int(config.get("samples", 100)),
+        seed=require_count("seed", config.get("seed", 42), 0),
+        samples=require_count("samples", config.get("samples", 100), 1),
     )
 
 

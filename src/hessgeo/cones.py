@@ -4,11 +4,10 @@ Each preset is one row of `CONES`: a closed-form characteristic potential phi
 over x1..xn (constant normalized to 1), homogeneous of degree -n, the
 inequalities that cut the cone out of a sampling box, and a sampler of
 automorphisms (full group and the unimodular subgroup).  A preset carries its
-seed and builds the canonical metric g_can = Hess(ln phi) and the conical
-metric g_con = Hess(phi) through `make_hessian_structure`, as a geometry config
-would, and the selfsimilar structure (g_con, xi); each once, validated, on
-first use.  rho = sum x^i d/dx^i is the radiant field.  Adding a preset is
-adding a row.
+seed and its one `Domain`, and builds the canonical metric g_can = Hess(ln phi)
+and the conical metric g_con = Hess(phi) on that domain, and the selfsimilar
+structure (g_con, xi); each once, validated, on first use.  rho = sum x^i
+d/dx^i is the radiant field.  Adding a preset is adding a row.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import UnknownPreset
 from .expressions import ScalarExpression, parse_expression
 from .report import measured
-from .structures import SelfsimilarHessianStructure, make_hessian_structure
+from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
 from .tensors import (
     AffineAutomorphism,
     VectorFieldSpec,
@@ -38,6 +37,7 @@ __all__ = ["ConePreset", "preset", "CONES", "PRESET_NAMES", "dilation_law", "rad
 class ConePreset:
     name: str
     phi_char: ScalarExpression
+    domain: Domain  # shared by g_can and g_con
     sample_automorphisms: Callable[[int, np.random.Generator, bool], List[AffineAutomorphism]]
     seed: int = 42
 
@@ -51,14 +51,14 @@ class ConePreset:
 
     def hessian_structure(self, metric="can", seed=42, samples=100):
         """The validated Hessian structure for g_can (ln phi) or g_con (phi)."""
-        phi, inequalities, box, _ = CONES[self.name]
+        phi = CONES[self.name][0]
         potential = {"can": f"ln({phi})", "con": phi}.get(metric)
         if potential is None:
             raise ValueError(f"metric must be 'can' or 'con', got {metric!r}")
-        return make_hessian_structure(
-            {"name": f"{self.name}_g{metric}", "dim": self.dim, "potential": potential,
-             "domain": inequalities, "box": box, "seed": seed, "samples": samples}
-        )
+        potential = parse_expression(potential, self.phi_char.variables)
+        return HessianStructure(
+            f"{self.name}_g{metric}", self.dim, potential, self.domain, seed, samples
+        ).validate()
 
     @cached_property
     def can(self):
@@ -158,9 +158,10 @@ PRESET_NAMES = tuple(CONES)
 def preset(name, seed=42) -> ConePreset:
     if name not in CONES:
         raise UnknownPreset(name)
-    phi, _, box, sample = CONES[name]
+    phi, inequalities, box, sample = CONES[name]
     variables = [f"x{k + 1}" for k in range(len(box))]
-    return ConePreset(name, parse_expression(phi, variables), sample, seed)
+    domain = Domain.from_config({"domain": inequalities, "box": box}, variables)
+    return ConePreset(name, parse_expression(phi, variables), domain, sample, seed)
 
 
 def automorphism_samples(cone: ConePreset, count=20, unimodular=False):

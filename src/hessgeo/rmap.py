@@ -103,11 +103,9 @@ def check_potential_identity(lift: KahlerLift, samples=None):
     """g_r equals the complex Hessian of 4 phi(x) on M x R^n."""
     n, potential = lift.base.dim, lift.base.potential
     variables = list(potential.variables) + [f"y{k + 1}" for k in range(n)]
-    jet = parse_expression(f"4.0*({potential.serialize()})", variables).jet3
-    # the field's value is a gradient, its derivative a Hessian: jets of order 1 and 2
-    hessian = TensorField(2 * n, lambda q: jet(q, 1).gradient, lambda q: jet(q, 2).hessian)
+    lifted = parse_expression(f"4.0*({potential.serialize()})", variables)
     points = lift.sample_points(samples)
-    H = hessian.derivative(points)
+    H = lifted.jet3(points, 2).hessian  # an order-2 walk: no third derivative
     # Hermitian components 4 * d^2 phi / dz^i dz*^j realified
     h = 0.25 * (H[..., :n, :n] + H[..., n:, n:])
     return measured(

@@ -217,14 +217,10 @@ def norm_squared(s, p, check=True):
 def norm_gradient(s, p):
     """d_k g(xi, xi), the derivative of the scalar field g(xi, xi): exactly
     2 (J^T g xi)_k + dg[k](xi, xi), J the Jacobian of xi."""
-
-    def exact(x):
-        v, D = s.xi.value(x), s.metric.derivative(x)
-        gv = s.metric(x) @ v[..., None]
-        dg = np.einsum("...i,...j,...kij->...k", v, v, D)
-        return 2.0 * (s.xi.jacobian(x).T @ gv)[..., 0] + dg
-
-    return TensorField(s.dim, lambda q: norm_squared(s, q, check=False), exact).derivative(p)
+    p = np.asarray(p, dtype=float)
+    v = s.xi.value(p)
+    dg = np.einsum("...i,...j,...kij->...k", v, v, s.metric.derivative(p))
+    return 2.0 * (s.xi.jacobian(p).T @ (s.metric(p) @ v[..., None]))[..., 0] + dg
 
 
 def conformal_rescaling(s, T: TensorField) -> TensorField:
@@ -257,11 +253,12 @@ def norm_homothety_defect(s, points):
 
 
 def require_count(what, value, least):
-    """Raises ConfigError unless `value` is an integer of at least `least`."""
+    """`value`; raises ConfigError unless it is an integer of at least `least`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def config_box(config, rows):
@@ -293,8 +290,8 @@ def make_hessian_structure(config) -> HessianStructure:
         dim=dim,
         potential=potential,
         domain=domain,
-        seed=int(config.get("seed", 42)),
-        samples=int(config.get("samples", DEFAULT_SAMPLES)),
+        seed=require_count("seed", config.get("seed", 42), 0),
+        samples=require_count("samples", config.get("samples", DEFAULT_SAMPLES), 1),
     )
     return structure.validate()
 

@@ -1,25 +1,23 @@
 """Tensor operations on fields over a single global flat chart.
 
 Every field, whether a metric, a 2-form or an endomorphism, is one
-`TensorField`: an evaluator of a point or a batch of points.  Fields built from
-expressions carry analytic derivatives (order-3 jets, one walk per batch);
-fields only available numerically, and every field inside `finite_differences()`,
-differentiate by `fd_tensor_derivative`, Richardson-extrapolated central finite
-differences with step `FD_STEP * max(1, |p|)` per point.  A field whose value
-and derivative come from the same per-point work reads both from one
-`point_bundle`, always computed exactly.  A check measures per-point defects on
-a whole sample and hands them to `report.measured`: invariance under maps with
+`TensorField`: an evaluator of a point or a batch of points, with its exact
+derivative.  Fields built from expressions differentiate by order-3 jets (one
+walk per batch), the others by the product rule or implicit differentiation.
+`fd_tensor_derivative`, Richardson-extrapolated central finite differences with
+step `FD_STEP * max(1, |p|)` per point, is the independent cross-check of any
+of them.  A field whose value and derivative come from the same per-point work
+reads both from one `point_bundle`.  A check measures per-point defects on a
+whole sample and hands them to `report.measured`: invariance under maps with
 `invariance_defect`, flows with `flow_defect`, with `max_abs` and `largest` to
 reduce tensors and combine defects.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +27,6 @@ from .expressions import ScalarExpression
 __all__ = [
     "FD_STEP",
     "POINT_CACHE_SIZE",
-    "finite_differences",
     "point_bundle",
     "TensorField",
     "VectorFieldSpec",
@@ -59,41 +56,22 @@ __all__ = [
 ]
 
 FD_STEP = 1e-5
-# A default `check sk_flat` visits 442 distinct Darboux points, and `check sk_flat --seed 4
-# --fd-check` 1,242, whose checks pass over the same finite-difference stencils one after another:
-# at this size it makes 1,282 Newton inversions (8,951 at 512).  A point holds 10,672 bytes of
-# arrays at m = 2, 8,584 of them the T*M frame's, so a full cache about 11 MB.
+# Distinct Darboux points and Newton inversions at this size: 442 and 442 for a default `check
+# sk_flat`, 1,242 and 1,242 for `check sk_flat --seed 4 --fd-check` (2,142 inversions at 512), and
+# 2,041 and 3,741 for `check sk_conic --fd-check`, whose base and bundle audit passes each cover
+# 1,700 stencil points (2,041 inversions at 2,048).  A point holds 10,672 bytes of arrays at
+# m = 2, 8,584 of them the T*M frame's, so a full cache about 11 MB.
 POINT_CACHE_SIZE = 1024
-
-# on in `finite_differences()`, off in `point_bundle`; read by `TensorField.derivative` alone
-_FINITE_DIFFERENCES = ContextVar("finite_differences", default=False)
-
-
-@contextmanager
-def _derivatives_by_fd(on):
-    token = _FINITE_DIFFERENCES.set(on)
-    try:
-        yield
-    finally:
-        _FINITE_DIFFERENCES.reset(token)
-
-
-def finite_differences():
-    """Inside this block every `TensorField.derivative` is the finite
-    difference of the field's values, exact derivative or not."""
-    return _derivatives_by_fd(True)
 
 
 def point_bundle(compute):
     """`compute(p)`, a tuple of arrays, memoised per point for the most
     recent `POINT_CACHE_SIZE` points.  The arrays are read-only, since every
-    caller at that point shares them, and exact: `compute` runs outside
-    `finite_differences()`, so no finite difference is cached."""
+    caller at that point shares them."""
 
     @lru_cache(maxsize=POINT_CACHE_SIZE)
     def cached(key):
-        with _derivatives_by_fd(False):
-            arrays = compute(np.frombuffer(key))
+        arrays = compute(np.frombuffer(key))
         for array in arrays:
             array.setflags(write=False)
         return arrays
@@ -125,12 +103,11 @@ def fd_tensor_derivative(func, p):
 @dataclass(frozen=True)
 class TensorField:
     """Tensor field (metric, 2-form or endomorphism) given by an evaluator of
-    points (..., dim), optionally with its exact derivative D[..., k, i, j] =
-    d_k T_ij; without one, or inside `finite_differences()`, an FD."""
+    points (..., dim) and its exact derivative D[..., k, i, j] = d_k T_ij."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dfunc: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_potential(cls, potential: ScalarExpression):
@@ -164,8 +141,6 @@ class TensorField:
         return self.func(np.asarray(p, dtype=float))
 
     def derivative(self, p):
-        if self.dfunc is None or _FINITE_DIFFERENCES.get():
-            return fd_tensor_derivative(self.func, p)
         return self.dfunc(np.asarray(p, dtype=float))
 
 

@@ -1,12 +1,17 @@
-"""Source mutants that a preset check must kill.
+"""Source mutants that a preset check or a tier-1 test must kill.
 
-Each mutant is (file of src/hessgeo, old text, new text, geometry, check id).
-For each one the runner copies `src/` to a temporary directory, replaces the
-old text, which must occur exactly once, by the new, runs
-`python -m hessgeo.cli check <geometry> --json` against the copy and reads the
-entry of the check id.  The mutant is killed when that entry is in the report
-and fails.  The same check on the unmutated source must pass, or the mutant
-proves nothing.
+Each mutant is (file of src/hessgeo, old text, new text, target...).  For each
+one the runner copies `src/` to a temporary directory and replaces the old
+text, which must occur exactly once, by the new.  The target is one of:
+
+* a geometry, a check id and an optional argument tail: the runner runs
+  `python -m hessgeo.cli check <geometry> <tail...> --json` against the copy
+  and reads the entry of the check id; the mutant is killed when that entry is
+  in the report and fails;
+* a pytest node id (`tests/<file>.py::<test>`): the runner runs that test
+  against the copy; the mutant is killed when the test fails.
+
+The same run on the unmutated source must pass, or the mutant proves nothing.
 
     python tests/mutants.py    # exit 1 if a mutant survives or cannot be run
 """
@@ -21,7 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 MUTANTS = (
     # an empty sample must read NaN and fail, not pass at 0.0
@@ -73,6 +79,18 @@ MUTANTS = (
     # the T*M frame and the TM lift share them
     ("tensors.py", "[D, np.zeros_like(D)]", "[D, D]", "sk_conic", "hk_closed_forms"),
     ("tensors.py", "[D, np.zeros_like(D)]", "[D, D]", "orthant2", "conformal_omega_ck_flow"),
+    # the two frame-derivative mutants above, killed as well by the audit of the field
+    ("cmap.py", "0, -ginv @ dg @ ginv)", "0, ginv @ dg @ ginv)", "sk_conic", "gc__fd_audit",
+     "--fd-check"),
+    ("cmap.py", "blocks(dI, 0, 0, dIT)", "blocks(dI, 0, 0, dI)", "sk_conic", "I1__fd_audit",
+     "--fd-check"),
+    # a Nijenhuis tensor that is always zero: every shipped I is integrable, so no check can
+    # tell, but the tensor of a nonintegrable J must not vanish
+    ("tensors.py", "    return t1 - t2 - t3 + t4", "    return 0 * (t1 - t2 - t3 + t4)",
+     "tests/test_tensors.py::test_nijenhuis_nonvanishing_for_scaled_structure"),
+    # every matrix positive definite: no shipped structure has a point where one is not
+    ("tensors.py", "    return bool(np.min(", "    return True or bool(np.min(",
+     "tests/test_tensors.py::test_positive_definite_helpers"),
     # Not listed, because they are equivalent:
     # - Newton with half a step, `y = y + 0.5 * step` in cmap._newton_invert,
     #   converges to the same root (hk_quaternion on sk_cubic reads 3.0e-15).
@@ -82,21 +100,27 @@ MUTANTS = (
 )
 
 
-def check_entry(src, geometry, check_id):
-    """The entry of `check_id` in `hessgeo check <geometry> --json` run on the
-    package in `src`, or None when the run gives no report with that entry."""
+def verdict(src, target):
+    """(passed, detail) of the target run on the package in `src`, or None
+    when the run gives no verdict: no report entry, or a test that did not run."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    if "::" in target[0]:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target[0]],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        return (run.returncode == 0, f"pytest exit {run.returncode}") if run.returncode < 2 else None
+    geometry, check_id, *tail = target
     run = subprocess.run(
-        [sys.executable, "-m", "hessgeo.cli", "check", geometry, "--json"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        cwd=src,
+        [sys.executable, "-m", "hessgeo.cli", "check", geometry, *tail, "--json"],
+        capture_output=True, text=True, env=env, cwd=src,
     )
     try:
         entries = json.loads(run.stdout)["entries"]
     except ValueError:
         return None
-    return next((e for e in entries if e["check_id"] == check_id), None)
+    entry = next((e for e in entries if e["check_id"] == check_id), None)
+    return None if entry is None else (entry["pass"], f"residual {entry['residual']!r}")
 
 
 def mutate(file, old, new, workdir):
@@ -116,25 +140,26 @@ def main():
     bad = 0
     unmutated = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for file, old, new, geometry, check_id in MUTANTS:
-            name = f"{file}: {old.strip()!r} -> {new.strip()!r} ({geometry} {check_id})"
-            if (geometry, check_id) not in unmutated:
-                unmutated[geometry, check_id] = check_entry(SRC, geometry, check_id)
-            before = unmutated[geometry, check_id]
+        for file, old, new, *target in MUTANTS:
+            target = tuple(target)
+            name = f"{file}: {old.strip()!r} -> {new.strip()!r} ({' '.join(target)})"
+            if target not in unmutated:
+                unmutated[target] = verdict(SRC, target)
+            before = unmutated[target]
             try:
-                after = check_entry(mutate(file, old, new, workdir), geometry, check_id)
+                after = verdict(mutate(file, old, new, workdir), target)
             except ValueError as exc:
                 after, name = None, f"{name}: {exc}"
-            if before is None or not before["pass"]:
-                verdict = "UNMUTATED CHECK DOES NOT PASS"
+            if before is None or not before[0]:
+                outcome = "UNMUTATED TARGET DOES NOT PASS"
             elif after is None:
-                verdict = "NO REPORT ENTRY"
-            elif after["pass"]:
-                verdict = f"SURVIVED (residual {after['residual']!r})"
+                outcome = "NO VERDICT"
+            elif after[0]:
+                outcome = f"SURVIVED ({after[1]})"
             else:
-                verdict = f"killed (residual {after['residual']!r})"
-            bad += not verdict.startswith("killed")
-            print(f"{verdict}: {name}")
+                outcome = f"killed ({after[1]})"
+            bad += not outcome.startswith("killed")
+            print(f"{outcome}: {name}")
     print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - bad} killed")
     return 1 if bad else 0
 

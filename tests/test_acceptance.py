@@ -205,9 +205,10 @@ def test_criterion_6_conformal_hyperkahler(capsys):
 
 
 def test_criterion_7_ad_fd_agreement(capsys):
+    # every field lorentz3 offers, g, g_can, g_con, g_r, omega and omega_cK, audited
     report = run_check("lorentz3", ["rmap", "selfsimilar", "conformal"], 25, 42, fd_check=True)
-    deltas = [e for e in report.entries if e.check_id.endswith("__fd_delta")]
-    assert deltas
+    deltas = [e for e in report.entries if e.check_id.endswith("__fd_audit")]
+    assert len(deltas) == 6
     # and one cross-check on the Newton-backed pipeline: FD derivative of the
     # Darboux metric against the implicit analytic one
     sk = special_kahler_preset("sk_conic", samples=5)

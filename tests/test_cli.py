@@ -11,9 +11,11 @@ from golden import regen as golden
 from walks import count_walks
 
 from hessgeo import cmap, cones, structures
+from hessgeo.expressions import parse_expression
+from hessgeo.rmap import build_kahler_lift
+from hessgeo.tensors import fd_tensor_derivative
 from hessgeo.cli import (
     EVAL_TENSORS,
-    EXACT_ONLY_SUITES,
     GEOMETRY_NAMES,
     KINDS,
     SUITE_NAMES,
@@ -255,35 +257,38 @@ def test_eval_bad_point(capsys):
 
 
 def test_fd_check_entries():
-    report = run_check("orthant2", ["selfsimilar"], 8, 42, fd_check=True)
-    ids = {e.check_id for e in report.entries}
-    assert "selfsimilar_metric__fd_delta" in ids
-    assert report.passed
+    # one audit per field of the kind, whatever the suites, and the suites' entries unchanged
+    for geometry, suite in (("orthant2", "selfsimilar"), ("noncone_counterexample", "hessian"),
+                            ("sk_cubic", "cmap")):
+        kind, _ = resolve_geometry(geometry, 42, 8)
+        plain = run_check(geometry, [suite], 8, 42).entries
+        entries = run_check(geometry, [suite], 8, 42, fd_check=True).entries
+        assert entries[: len(plain)] == plain
+        audits = entries[len(plain):]
+        assert sorted(e.check_id for e in audits) == sorted(f"{t}__fd_audit" for t in KINDS[kind].tensors)
+        assert all(e.passed and e.samples == 8 for e in audits)
 
 
-# the checks that differentiate the hyper-Kahler frame on T*M
-FRAME_DERIVATIVE_CHECKS = (
-    "hk_closed_forms",
-    "chk_norm_homothety",
-    "chk_metric_flow",
-    "chk_complex_structures_flow",
-    "chk_unscaled_negative_control",
-)
+# the fields on T*M whose derivatives the frame checks read
+FRAME_FIELDS = ("gc", "I1", "I2", "I3", "g_chk")
 
 
-def test_fd_hessian_of_the_kahler_potential_is_not_round_off_bound(capsys):
-    # an FD derivative of the exact jet gradient; FD of an FD gradient gave 4.7e-6
-    assert main(["check", "orthant2", "--suite", "rmap", "--samples", "20", "--fd-check", "--json"]) == 0
-    entries = {e["check_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
-    assert entries["kahler_potential__fd_delta"]["residual"] < 1e-8
+def test_fd_hessian_of_the_kahler_potential_is_not_round_off_bound():
+    # the finite difference of the exact jet gradient of 4 pi^* phi at the samples
+    # of `check orthant2 --suite rmap --samples 20`; FD of an FD gradient gave 4.7e-6
+    lift = build_kahler_lift(cones.preset("orthant2").can)
+    lifted = parse_expression(f"4.0*({lift.base.potential.serialize()})", ["x1", "x2", "y1", "y2"])
+    points = lift.sample_points(20)
+    fd = fd_tensor_derivative(lambda q: lifted.jet3(q, 1).gradient, points)
+    assert np.max(np.abs(fd - lifted.jet3(points, 2).hessian)) < 1e-8
 
 
 def test_fd_check_covers_special_kahler_suites(capsys):
     code = main(["check", "sk_conic", "--samples", "5", "--fd-check", "--json"])
     assert code == 0
     entries = {e["check_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
-    for check_id in FRAME_DERIVATIVE_CHECKS:
-        assert entries[f"{check_id}__fd_delta"]["pass"], check_id
+    for tensor in FRAME_FIELDS:
+        assert entries[f"{tensor}__fd_audit"]["pass"], tensor
 
 
 @pytest.mark.parametrize(
@@ -362,7 +367,6 @@ def test_applicable_suites(tmp_path, monkeypatch, capsys, geometry, suites, inap
 def test_suite_table_covers_the_suite_names():
     offered = {suite for spec in KINDS.values() for suite in spec.suites}
     assert offered == set(SUITE_NAMES) - {"all"}
-    assert set(EXACT_ONLY_SUITES) < offered
     assert {tensor for spec in KINDS.values() for tensor in spec.tensors} == set(EVAL_TENSORS)
 
 
@@ -383,6 +387,14 @@ def test_each_conformal_suite_states_its_hypothesis_once(tmp_path, monkeypatch, 
         return [e.check_id for e in run_check(geometry, suites, 5, 42).entries].count(HYPOTHESIS)
 
     assert (count([other]), count(["conformal"]), count(["all"])) == (0, 1, 1)
+
+
+def test_eval_of_a_cone_tensor_builds_only_what_it_reads(monkeypatch):
+    # the domain test reads the preset's own domain, not g_can's
+    built, original = [], cones.preset
+    monkeypatch.setattr(cones, "preset", lambda *args: built.append(original(*args)) or built[-1])
+    eval_tensor("lorentz3", "gcon", [2.0, 0.3, -0.2])
+    assert "con" in vars(built[0]) and "can" not in vars(built[0])
 
 
 def test_eval_reads_the_fields_the_checks_read():

@@ -25,14 +25,18 @@ from hessgeo.errors import (
     UnknownPreset,
 )
 from hessgeo.expressions import parse_expression
-from hessgeo.structures import SelfsimilarHessianStructure, conformal_rescaling, norm_gradient
+from hessgeo.structures import (
+    SelfsimilarHessianStructure,
+    conformal_rescaling,
+    norm_gradient,
+    norm_squared,
+)
 from hessgeo.tensors import (
     AffineAutomorphism,
     TensorField,
     VectorFieldSpec,
     bundle_sample_points,
     fd_tensor_derivative,
-    finite_differences,
     lift_automorphisms,
     point_bundle,
     require_isometry,
@@ -224,6 +228,27 @@ def test_bad_prepotential_config():
         prepotential_from_config({"m": 1, "F": "i*z1^2/2", "box": [[0, 1]]})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("samples", True, "samples must be an integer, got True"),
+        ("samples", 0, "samples must be at least 1, got 0"),
+    ],
+)
+def test_special_kahler_configs_take_integer_seed_and_samples(key, value, message):
+    # `int()` would build the structure at seed 2, or with 1 sample, without a word
+    from hessgeo.cmap import prepotential_from_config, special_kahler_from_config
+
+    direct = {"dim": 2, "potential": "(q1^2+q2^2)/2", "I": [["0", "-1"], ["1", "0"]],
+              "box": [[-1, 1], [-1, 1]]}
+    with pytest.raises(ConfigError, match=message):
+        special_kahler_from_config({**direct, key: value})
+    prepotential = {"m": 1, "F": "i*z1^2/2", "box": [[-1, 1], [-1, 1]]}
+    with pytest.raises(ConfigError, match=message):
+        prepotential_from_config({**prepotential, key: value})
+
+
 @pytest.mark.parametrize("name", ["sk_cubic", "sk_conic"])
 def test_exact_frame_derivatives_match_fd(name):
     sk = special_kahler_preset(name, samples=4)
@@ -239,22 +264,8 @@ def test_exact_frame_derivatives_match_fd(name):
         for label, field in fields.items():
             assert_close(field.derivative(pt), fd_tensor_derivative(field, pt), label)
         q = pt[: sk.dim]
-        with finite_differences():
-            fd = norm_gradient(ss, q)
+        fd = fd_tensor_derivative(lambda x: norm_squared(ss, x, check=False), q)
         assert_close(norm_gradient(ss, q), fd, "dN")
-
-
-def test_frame_first_built_under_finite_differences_stays_exact():
-    # the frame bundle differentiates g and I; built inside the block, it must
-    # not cache their finite differences for the exact derivatives read later
-    sk = special_kahler_preset("sk_conic", samples=3)
-    pt = bundle_sample_points(sk, 1, 0, FIBER_SALT)[0]
-    gc, I_fields = sk.frame
-    with finite_differences():
-        gc(pt)
-    fresh_gc, fresh_I_fields = special_kahler_preset("sk_conic", samples=3).frame
-    assert np.array_equal(gc.derivative(pt), fresh_gc.derivative(pt))
-    assert np.array_equal(I_fields[1].derivative(pt), fresh_I_fields[1].derivative(pt))
 
 
 def test_one_newton_inversion_per_darboux_point(monkeypatch):

@@ -19,7 +19,7 @@ from hessgeo.structures import (
     norm_gradient,
     norm_squared,
 )
-from hessgeo.tensors import VectorFieldSpec, finite_differences
+from hessgeo.tensors import VectorFieldSpec, fd_tensor_derivative
 
 
 def orthant_domain():
@@ -102,8 +102,7 @@ def test_selfsimilar_validation_and_norm():
     p = np.array([1.0, 1.0])
     # g_con(1,1) = [[2, 1], [1, 2]], xi = (-1, -1): norm = 6
     assert norm_squared(ss, p) == pytest.approx(6.0)
-    with finite_differences():
-        fd = norm_gradient(ss, p)
+    fd = fd_tensor_derivative(lambda q: norm_squared(ss, q, check=False), p)
     assert norm_gradient(ss, p) == pytest.approx(fd, abs=1e-6)
 
 
@@ -139,6 +138,22 @@ def test_bad_configs():
         make_hessian_structure(
             {"dim": 2, "potential": "x1^2+x2^2", "box": [[0, 1]]}
         )
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", 2.7, "seed must be an integer, got 2.7"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("samples", True, "samples must be an integer, got True"),
+        ("samples", 0, "samples must be at least 1, got 0"),
+    ],
+)
+def test_make_hessian_structure_takes_integer_seed_and_samples(key, value, message):
+    # `int()` would build a structure at seed 2, or with 1 sample, without a word
+    config = {"dim": 2, "potential": "x1^2+x2^2", "box": [[0, 1], [0, 1]]}
+    with pytest.raises(ConfigError, match=message):
+        make_hessian_structure({**config, key: value})
 
 
 # -- sampling and the first failing sample: literals pinned from the point-by-point code

@@ -1,13 +1,7 @@
-import importlib
-import inspect
-import pkgutil
-
 import numpy as np
 import pytest
 from flows import affine_flow
 from walks import count_walks
-
-import hessgeo
 
 from hessgeo.cmap import special_kahler_preset
 from hessgeo.cones import preset
@@ -20,7 +14,7 @@ from hessgeo.tensors import (
     VectorFieldSpec,
     blocks,
     exterior_derivative_2form,
-    finite_differences,
+    fd_tensor_derivative,
     flow_defect,
     invariance_defect,
     is_positive_definite,
@@ -103,42 +97,13 @@ def test_lift_tensor_is_constant_along_the_fiber(assemble):
     assert np.array_equal(lifted(p), lifted(np.concatenate([x, [-1.2, 2.0]])))
     D = lifted.derivative(p)
     assert D.shape == (4, 4, 4) and not np.any(D[2:])
-    with finite_differences():
-        fd = lifted.derivative(p)
-    assert fd == pytest.approx(D, abs=1e-8)
+    assert fd_tensor_derivative(lifted, p) == pytest.approx(D, abs=1e-8)
 
 
 def test_metric_derivative_fd_agrees():
     g = metric_from("1/(x1*x2)")
     p = np.array([0.8, 1.4])
-    with finite_differences():
-        fd = g.derivative(p)
-    assert fd == pytest.approx(g.derivative(p), abs=1e-6)
-
-
-def test_finite_differences_switch_is_off_after_an_error_in_its_block():
-    # the exact derivative of p^2 is marked wrong, -1, to tell the two apart
-    marked = TensorField(1, lambda p: p * p, lambda p: np.array([[-1.0]]))
-    p = np.array([3.0])
-    with pytest.raises(RuntimeError):
-        with finite_differences():
-            assert marked.derivative(p) == pytest.approx(np.array([[6.0]]))
-            raise RuntimeError
-    assert marked.derivative(p) == np.array([[-1.0]])
-
-
-def test_no_function_takes_an_fd_parameter():
-    # the derivative method is the `finite_differences()` switch, never an argument
-    for info in pkgutil.iter_modules(hessgeo.__path__):
-        module = importlib.import_module(f"hessgeo.{info.name}")
-        for name, obj in vars(module).items():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            members = vars(obj).values() if inspect.isclass(obj) else ()
-            for fn in (obj, *members):
-                fn = getattr(fn, "__func__", fn)
-                if inspect.isfunction(fn):
-                    assert "fd" not in inspect.signature(fn).parameters, (module, name)
+    assert fd_tensor_derivative(g, p) == pytest.approx(g.derivative(p), abs=1e-6)
 
 
 def test_lie_derivative_of_radiant_field():
@@ -171,7 +136,7 @@ def test_lie_derivative_2form_matches_flow():
         s = w_expr(p)
         return np.array([[0.0, s], [-s, 0.0]])
 
-    form = TensorField(2, w)
+    form = TensorField(2, w, lambda p: fd_tensor_derivative(w, p))
     A = np.array([[0.0, 1.0], [-1.0, 0.4]])
     xi = VectorFieldSpec.from_affine(A)
     p = np.array([0.6, 1.0])
@@ -181,8 +146,7 @@ def test_lie_derivative_2form_matches_flow():
     numeric = (
         flow_p.A.T @ w(flow_p(p)) @ flow_p.A - flow_m.A.T @ w(flow_m(p)) @ flow_m.A
     ) / (2 * t)
-    with finite_differences():
-        assert lie_derivative_metric(form, xi, p) == pytest.approx(numeric, abs=1e-6)
+    assert lie_derivative_metric(form, xi, p) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_lie_derivative_constant_endomorphism():
@@ -220,14 +184,13 @@ def test_exterior_derivative_oracle():
             out[1, 0] = -s(p)
             return out
 
-        return TensorField(3, func)
+        return TensorField(3, func, lambda p: fd_tensor_derivative(func, p))
 
     closed = w(lambda q: q[0])
-    with finite_differences():
-        assert exterior_derivative_2form(closed, [0.5, 0.5, 0.5]) == pytest.approx(
-            np.zeros((3, 3, 3)), abs=1e-9
-        )
-        d = exterior_derivative_2form(w(lambda q: q[2]), [0.5, 0.5, 0.5])
+    assert exterior_derivative_2form(closed, [0.5, 0.5, 0.5]) == pytest.approx(
+        np.zeros((3, 3, 3)), abs=1e-9
+    )
+    d = exterior_derivative_2form(w(lambda q: q[2]), [0.5, 0.5, 0.5])
     assert d[2, 0, 1] == pytest.approx(1.0, abs=1e-9)
     assert d[0, 2, 1] == pytest.approx(-1.0, abs=1e-9)
     assert np.max(np.abs(d)) == pytest.approx(1.0, abs=1e-9)
@@ -242,9 +205,10 @@ def test_nijenhuis_nonvanishing_for_scaled_structure():
     # rescaling a complex structure by a nonconstant function breaks the
     # tensor identity N = 0
     J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    J = TensorField(2, lambda p: (1.0 + p[0] ** 2) * J0)
-    with finite_differences():
-        N = nijenhuis(J, [0.7, 0.1])
+    def scaled(p):
+        return (1.0 + p[0] ** 2) * J0
+
+    N = nijenhuis(TensorField(2, scaled, lambda p: fd_tensor_derivative(scaled, p)), [0.7, 0.1])
     assert np.max(np.abs(N)) > 1e-3
 
 
