@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,42 +117,36 @@ class Prepotential:
         return self.z_from_real(self.zbox.mean(axis=1))
 
 
+@dataclass(eq=False)
 class SpecialKahlerStructure:
     """Flat Darboux chart q = (u, v), constant Omega, metric g and complex
     structure I evaluated per point; generated from a prepotential or from
     explicit component expressions."""
 
-    def __init__(
-        self,
-        name,
-        m,
-        metric: TensorField,
-        complex_structure: TensorField,
-        sampler: Callable[[int, np.random.Generator], np.ndarray],
-        prepotential: Optional[Prepotential] = None,
-        seed=42,
-        samples=100,
-    ):
-        self.name = name
-        self.m = m
-        self.dim = 2 * m
-        self.Omega = standard_symplectic(m)
-        self.metric = metric
-        self.complex_structure = complex_structure
-        self._sampler = sampler
-        self.prepotential = prepotential
-        self.seed = seed
-        self.samples = samples
-        self.omega_scale = None  # lambda with omega = lambda * Omega
-        # holomorphic isometries B q + c (`AffineAutomorphism`s) that a
-        # preset states; a structure without them has no psi-hat check
-        self.isometries = ()
+    name: str
+    m: int
+    metric: TensorField
+    complex_structure: TensorField
+    sampler: Callable[[int, np.random.Generator], np.ndarray]
+    prepotential: Optional[Prepotential] = None
+    seed: int = 42
+    samples: int = 100
+    # holomorphic isometries B q + c that a preset states (none: no psi-hat check)
+    isometries: Tuple[AffineAutomorphism, ...] = ()
+
+    @property
+    def dim(self):
+        return 2 * self.m
+
+    @cached_property
+    def Omega(self):
+        return standard_symplectic(self.m)
 
     def rng(self, salt=0):
         return np.random.default_rng([self.seed, salt])
 
     def sample_points(self, count=None, salt=0):
-        return self._sampler(count or self.samples, self.rng(salt))
+        return self.sampler(count or self.samples, self.rng(salt))
 
     @cached_property
     def frame(self):
@@ -164,13 +158,14 @@ class SpecialKahlerStructure:
         """w = g(I., .) as a matrix field: I^T g."""
         return _kahler_form(self.metric, self.complex_structure)
 
+    @cached_property
+    def omega_scale(self):
+        """lambda with omega = lambda * Omega, estimated at the first sample."""
+        w = self.omega(self.sample_points(1, salt=5)[0])
+        return float(np.sum(w * self.Omega) / np.sum(self.Omega * self.Omega))
+
     def omega_constant(self):
-        """lambda * Omega, with lambda estimated at the first sample."""
-        if self.omega_scale is None:
-            q = self.sample_points(1, salt=5)[0]
-            w = self.omega(q)
-            lam = float(np.sum(w * self.Omega) / np.sum(self.Omega * self.Omega))
-            self.omega_scale = lam
+        """lambda * Omega."""
         return self.omega_scale * self.Omega
 
 
@@ -383,42 +378,36 @@ class HyperKahlerFrame(NamedTuple):
     I3: np.ndarray
 
 
-def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame:
-    """Frame matrices at (q, p); all tensors are independent of p."""
+def _frame(sk: SpecialKahlerStructure, q, derivative=False):
+    """(g_c, I1, I2) at the base point q; with `derivative`, then (dg_c, dI1, dI2)
+    along the n base coordinates of T*M (the rows along p, all zero, left out)."""
     q = np.asarray(q, dtype=float)
     g, I = sk.metric(q), sk.complex_structure(q)
     ginv = _inverse(g, "metric", "q", q)
     w = I.T @ g
     winv = _inverse(w, "w = I^T g", "q", q)
-    I1 = blocks(I, 0, 0, I.T)
-    I2 = blocks(0, -winv, w, 0)
-    return HyperKahlerFrame(blocks(g, 0, 0, ginv), I1, I2, I1 @ I2)
-
-
-def _frame_derivative(sk: SpecialKahlerStructure, q, frame):
-    """D[k] = d_k of g_c, I1 and I2 for the n base coordinates q of T*M, from
-    the frame at q and dg, dI there; the rows along p, all zero, are left out."""
-    n = sk.dim
-    g, I = frame.gc[:n, :n], frame.I1[:n, :n]
+    frame = (blocks(g, 0, 0, ginv), blocks(I, 0, 0, I.T), blocks(0, -winv, w, 0))
+    if not derivative:
+        return frame
     dg, dI = sk.metric.derivative(q), sk.complex_structure.derivative(q)
-    ginv, winv = frame.gc[n:, n:], -frame.I2[:n, n:]
     dIT = np.transpose(dI, (0, 2, 1))
     dw = dIT @ g + I.T @ dg  # w = I^T g
     dgc = blocks(dg, 0, 0, -ginv @ dg @ ginv)  # d(g^{-1}) = -g^{-1} dg g^{-1}
     dI1 = blocks(dI, 0, 0, dIT)
     dI2 = blocks(0, winv @ dw @ winv, dw, 0)  # d(-w^{-1}) = w^{-1} dw w^{-1}
-    return dgc, dI1, dI2
+    return (*frame, dgc, dI1, dI2)
+
+
+def build_hyperkahler(sk: SpecialKahlerStructure, q, p=None) -> HyperKahlerFrame:
+    """Frame matrices at (q, p); all tensors are independent of p."""
+    gc, I1, I2 = _frame(sk, q)
+    return HyperKahlerFrame(gc, I1, I2, I1 @ I2)
 
 
 def _frame_fields(sk: SpecialKahlerStructure):
     """g_c and (I1, I2, I3) on T*M with exact derivatives.  A bundle per q holds (g_c, I1, I2)
     and their base rows; a read builds I3 = I1 I2, dI3 and the zero fiber rows, read-only."""
-
-    def frame_and_derivative(q):
-        frame = build_hyperkahler(sk, q)
-        return (*frame[:3], *_frame_derivative(sk, q, frame))
-
-    at_q = point_bundle(frame_and_derivative)
+    at_q = point_bundle(lambda q: _frame(sk, q, derivative=True))
 
     def read(build):  # build(gc, I1, I2, dgc, dI1, dI2) from the entries at q
         def at(pt):

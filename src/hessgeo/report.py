@@ -75,9 +75,6 @@ class VerificationReport:
     entries: List[CheckResult] = field(default_factory=list)
     version: str = __version__
 
-    def add(self, entry):
-        self.entries.append(entry)
-
     def extend(self, entries):
         self.entries.extend(entries)
 

@@ -67,6 +67,10 @@ MUTANTS = (
         "orthant2",
         "conformal_omega_ck_flow",
     ),
+    # the fiber part of the lifted field on T*M taken as A^T, not transported through w as
+    # w A w^{-1}: the Euler field of every preset's conformal suite cannot tell them apart
+    ("cmap.py", "w @ ss.xi.A @ winv", "ss.xi.A.T",
+     "tests/test_cmap.py::test_conformal_hyperkahler_transports_a_non_euler_field_through_w"),
     # `blocks` with its lower-left block transposed: I2's w becomes w^T = -w, so I2^2 = +Id
     ("tensors.py", "out[..., n:, :n] = c", "out[..., n:, :n] = c.swapaxes(-1, -2)", "sk_cubic",
      "hk_quaternion"),

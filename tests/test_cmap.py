@@ -6,7 +6,7 @@ from hessgeo.cmap import (
     Prepotential,
     FIBER_SALT,
     _derivatives_at_z,
-    _frame_derivative,
+    _frame,
     _frame_fields,
     _newton_invert,
     _values_at_z,
@@ -201,6 +201,16 @@ def test_conformal_hyperkahler(name):
         assert entry.passed, (entry.check_id, entry.residual)
 
 
+def test_conformal_hyperkahler_transports_a_non_euler_field_through_w():
+    # xi = (Id + 0.1 D) q, D the generator of the isometries diag(mu^3, mu, mu^-3, mu^-1):
+    # w D w^{-1} = -D, so a fiber part that skips the transport through w fails
+    sk = special_kahler_preset("sk_conic", seed=42)
+    A = np.eye(sk.dim) + 0.1 * np.diag([3.0, 1.0, -3.0, -1.0])
+    ss = SelfsimilarHessianStructure(sk, VectorFieldSpec.from_affine(A))
+    for entry in check_conformal_hyperkahler(ss):
+        assert entry.passed, (entry.check_id, entry.residual)
+
+
 def test_translation_part_rejected():
     sk = special_kahler_preset("sk_flat", samples=5)
     xi = VectorFieldSpec.from_affine(np.eye(2), np.array([1.0, 0.0]))
@@ -317,11 +327,11 @@ def test_frame_fields_assemble_one_frame_per_base_point(monkeypatch):
     sk = special_kahler_preset("sk_conic", samples=5)
     calls = []
 
-    def counted(sk, q, p=None):
+    def counted(sk, q, derivative=False):
         calls.append(np.asarray(q).tobytes())
-        return build_hyperkahler(sk, q, p)
+        return _frame(sk, q, derivative)
 
-    monkeypatch.setattr(cmap, "build_hyperkahler", counted)
+    monkeypatch.setattr(cmap, "_frame", counted)
     gc, I_fields = _frame_fields(sk)
     points = bundle_sample_points(sk, 3, 0, FIBER_SALT)
     for pt in points:
@@ -375,7 +385,7 @@ def test_frame_reads_build_i3_and_the_zero_fiber_rows(batch):
         assert D.shape == (len(I1), 2 * n, 2 * n, 2 * n)
         assert np.all(D[:, n:] == 0.0)
     for k, q in enumerate(points[: len(I1), :n]):
-        exact = _frame_derivative(sk, q, build_hyperkahler(sk, q))
+        exact = _frame(sk, q, derivative=True)[3:]
         for D, base_rows in zip((dgc, dI1, dI2), exact):
             assert np.array_equal(D[k, :n], base_rows)
         assert np.array_equal(I3[k], I1[k] @ I2[k])
