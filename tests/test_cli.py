@@ -644,17 +644,58 @@ def test_report_states_the_seed_of_its_config(tmp_path, capsys):
     assert json.loads(reports[0])["seed"] == 5
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, hessgeo.cli; assert 'scipy' not in sys.modules"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(*args, **env):
+    """Standard output of `python *args` in a fresh interpreter that imports
+    hessgeo from src/, with no BLAS thread variable set except those in `env`;
+    the run must exit 0."""
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args],
+        env={**base, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, hessgeo.cli; assert 'scipy' not in sys.modules"
+    fresh_python("-c", code)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_cli_import_starts_no_thread():
+    code = "import os, hessgeo.cli; print(len(os.listdir('/proc/self/task')))"
+    assert fresh_python("-c", code) == "1\n"
+
+
+@pytest.mark.parametrize(
+    "prefix, env, expected",
+    [
+        ("", {}, "1"),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ("", {"OMP_NUM_THREADS": "2"}, "None"),
+        ("", {"GOTO_NUM_THREADS": "2"}, "None"),
+        ("import numpy; ", {}, "None"),
+    ],
+    ids=["default", "user-openblas", "user-omp", "user-goto", "numpy-first"],
+)
+def test_cli_import_asks_for_one_blas_thread_unless_one_is_chosen(prefix, env, expected):
+    code = prefix + "import os, hessgeo.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert fresh_python("-c", code, **env) == expected + "\n"
+
+
+def test_blas_thread_count_never_reaches_a_report():
+    argv = ("-m", "hessgeo.cli", "check", "sk_conic", "--samples", "5", "--json")
+    one = fresh_python(*argv)
+    assert fresh_python(*argv, OPENBLAS_NUM_THREADS="2") == one
+    assert json.loads(one)["geometry"] == "sk_conic"
 
 
 def test_eval_negative_coordinates_need_equals_form(capsys):
