@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -249,8 +248,7 @@ def sk_conformal_suite(sk, samples=None) -> List[CheckResult]:
 # -- the table of geometry kinds ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """What one kind of geometry offers.
 
     `suites` maps each applicable suite, in run order, to a runner

@@ -27,9 +27,8 @@ w-identification of fibers: xi_2 = (0, w A w^{-1} p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +92,7 @@ NEWTON_MAX_ITER = 80
 FIBER_SALT = 2000  # fiber points of T*M are drawn at salt + FIBER_SALT
 
 
-@dataclass(frozen=True)
-class Prepotential:
+class Prepotential(NamedTuple):
     """Holomorphic prepotential over z1..zm with Im F'' positive definite."""
 
     m: int
@@ -117,22 +115,18 @@ class Prepotential:
         return self.z_from_real(self.zbox.mean(axis=1))
 
 
-@dataclass(eq=False)
 class SpecialKahlerStructure:
     """Flat Darboux chart q = (u, v), constant Omega, metric g and complex
     structure I evaluated per point; generated from a prepotential or from
-    explicit component expressions."""
+    explicit component expressions.  `sampler(count, rng)` draws Darboux
+    points, and `isometries` are the holomorphic isometries B q + c that a
+    preset states (none: no psi-hat check)."""
 
-    name: str
-    m: int
-    metric: TensorField
-    complex_structure: TensorField
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
-    prepotential: Optional[Prepotential] = None
-    seed: int = 42
-    samples: int = 100
-    # holomorphic isometries B q + c that a preset states (none: no psi-hat check)
-    isometries: Tuple[AffineAutomorphism, ...] = ()
+    def __init__(self, name, m, metric, complex_structure, sampler, prepotential=None, seed=42,
+                 samples=100, isometries=()):
+        self.name, self.m, self.metric, self.complex_structure = name, m, metric, complex_structure
+        self.sampler, self.prepotential, self.isometries = sampler, prepotential, isometries
+        self.seed, self.samples = seed, samples
 
     @property
     def dim(self):

@@ -12,14 +12,12 @@ d/dx^i is the radiant field.  Adding a preset is adding a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, List
 
 import numpy as np
 
 from .errors import UnknownPreset
-from .expressions import ScalarExpression, parse_expression
+from .expressions import parse_expression
 from .report import measured
 from .structures import Domain, HessianStructure, SelfsimilarHessianStructure
 from .tensors import (
@@ -33,13 +31,14 @@ __all__ = ["ConePreset", "preset", "CONES", "PRESET_NAMES", "dilation_law", "rad
            "automorphism_samples"]
 
 
-@dataclass(frozen=True)
 class ConePreset:
-    name: str
-    phi_char: ScalarExpression
-    domain: Domain  # shared by g_can and g_con
-    sample_automorphisms: Callable[[int, np.random.Generator, bool], List[AffineAutomorphism]]
-    seed: int = 42
+    """A cone's characteristic potential, its `Domain` (shared by g_can and
+    g_con), its automorphism sampler (count, rng, unimodular) -> a list of
+    `AffineAutomorphism`, and its seed."""
+
+    def __init__(self, name, phi_char, domain, sample_automorphisms, seed=42):
+        self.name, self.phi_char, self.domain, self.seed = name, phi_char, domain, seed
+        self.sample_automorphisms = sample_automorphisms
 
     @property
     def dim(self):

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -45,30 +44,25 @@ _TOKEN_RE = re.compile(
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: complex  # float for literals, 1j for the reserved constant i
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: Tuple["Node", ...]
 
@@ -230,8 +224,7 @@ def _eval(node, env, real):
     return a ** (b if _holds_variable(exponent) else b.value)
 
 
-@dataclass(frozen=True)
-class ScalarExpression:
+class ScalarExpression(NamedTuple):
     """A parsed expression over a fixed, ordered variable list."""
 
     ast: Node

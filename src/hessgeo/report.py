@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -16,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = ["CheckResult", "VerificationReport", "measured", "require", "__version__"]
 
 
-@dataclass
 class CheckResult:
     """One named check: max residual over samples against a tolerance.
 
@@ -26,12 +23,12 @@ class CheckResult:
     that pass = residual < tolerance holds for them too.
     """
 
-    check_id: str
-    claim: str
-    residual: float
-    tolerance: float
-    samples: int
-    status: str = "checked"
+    def __init__(self, check_id, claim, residual, tolerance, samples, status="checked"):
+        self.check_id, self.claim, self.status = check_id, claim, status
+        self.residual, self.tolerance, self.samples = residual, tolerance, samples
+
+    def __eq__(self, other):
+        return type(other) is CheckResult and vars(self) == vars(other)
 
     @property
     def passed(self):
@@ -68,12 +65,10 @@ def require(what, entries):
             raise ConfigError(f"{what} fails {entry.check_id}: residual {entry.residual:.2e}")
 
 
-@dataclass
 class VerificationReport:
-    geometry: str
-    seed: int
-    entries: List[CheckResult] = field(default_factory=list)
-    version: str = __version__
+    def __init__(self, geometry, seed, entries=None, version=__version__):
+        self.geometry, self.seed, self.version = geometry, seed, version
+        self.entries = [] if entries is None else entries
 
     def extend(self, entries):
         self.entries.extend(entries)

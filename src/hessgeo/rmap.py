@@ -9,8 +9,7 @@ flow of the lifted homothetic field (A x + b, A y + b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KahlerLift:
+class KahlerLift(NamedTuple):
     base: HessianStructure
     J: np.ndarray
     metric: TensorField  # g_r on M x R^n

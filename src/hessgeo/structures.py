@@ -8,8 +8,7 @@ domain and checks positive definiteness and the stated identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ DEFAULT_SAMPLES = 100
 DOMAIN_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Open set {expr > 0 for all inequalities} sampled from a bounding box."""
 
     inequalities: Tuple[ScalarExpression, ...]
@@ -95,23 +93,13 @@ class Domain:
         return np.array(points)
 
 
-@dataclass(frozen=True)
 class HessianStructure:
-    """Flat chart + domain + potential; g = Hess(potential)."""
+    """Flat chart + domain + potential; g = Hess(potential) unless `metric` is given."""
 
-    name: str
-    dim: int
-    potential: ScalarExpression
-    domain: Domain
-    seed: int = 42
-    samples: int = DEFAULT_SAMPLES
-    metric: TensorField = None
-
-    def __post_init__(self):
-        if self.metric is None:
-            object.__setattr__(
-                self, "metric", TensorField.from_potential(self.potential)
-            )
+    def __init__(self, name, dim, potential, domain, seed=42, samples=DEFAULT_SAMPLES, metric=None):
+        self.name, self.dim, self.potential, self.domain = name, dim, potential, domain
+        self.seed, self.samples = seed, samples
+        self.metric = TensorField.from_potential(potential) if metric is None else metric
 
     def rng(self, salt=0):
         return np.random.default_rng([self.seed, salt])
@@ -125,8 +113,7 @@ class HessianStructure:
         return self
 
 
-@dataclass(frozen=True)
-class SelfsimilarHessianStructure:
+class SelfsimilarHessianStructure(NamedTuple):
     """A Hessian (or special Kahler) base plus an affine field xi with
     L_xi g = 2 g and g(xi, xi) > 0, which `validate` checks at the base's
     samples."""

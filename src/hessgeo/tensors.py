@@ -15,9 +15,8 @@ reduce tensors and combine defects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,8 +99,7 @@ def fd_tensor_derivative(func, p):
     return (4 * _central_difference(func, p, h / 2) - _central_difference(func, p, h)) / 3
 
 
-@dataclass(frozen=True)
-class TensorField:
+class TensorField(NamedTuple):
     """Tensor field (metric, 2-form or endomorphism) given by an evaluator of
     points (..., dim) and its exact derivative D[..., k, i, j] = d_k T_ij."""
 
@@ -144,8 +142,7 @@ class TensorField:
         return self.dfunc(np.asarray(p, dtype=float))
 
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
+class VectorFieldSpec(NamedTuple):
     """Affine vector field xi(x) = A x + b."""
 
     A: np.ndarray
@@ -164,18 +161,16 @@ class VectorFieldSpec:
         return self.A
 
 
-@dataclass(frozen=True)
-class AffineAutomorphism:
+class AffineAutomorphism(NamedTuple("AffineMap", [("A", np.ndarray), ("b", np.ndarray)])):
     """Invertible affine map x -> A x + b."""
 
-    A: np.ndarray
-    b: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if abs(np.linalg.det(self.A)) <= 1e-12:
+    def __new__(cls, A, b):
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        if abs(np.linalg.det(A)) <= 1e-12:
             raise ValueError("affine automorphism with singular linear part")
+        return super().__new__(cls, A, b)
 
     @classmethod
     def linear(cls, A):

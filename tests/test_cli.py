@@ -669,6 +669,12 @@ def test_cli_import_leaves_scipy_out():
     fresh_python("-c", code)
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # a record class is a NamedTuple or a plain class: none generates code at import
+    code = "import sys, hessgeo.cli; assert 'dataclasses' not in sys.modules"
+    fresh_python("-c", code)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
 def test_cli_import_starts_no_thread():
     code = "import os, hessgeo.cli; print(len(os.listdir('/proc/self/task')))"

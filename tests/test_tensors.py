@@ -8,6 +8,7 @@ from hessgeo.cones import preset
 from hessgeo.errors import DomainError
 from hessgeo.expressions import parse_expression
 from hessgeo.report import measured
+from hessgeo.rmap import build_kahler_lift
 from hessgeo.tensors import (
     AffineAutomorphism,
     TensorField,
@@ -249,6 +250,31 @@ def test_invariance_defect_of_a_reflection_on_I():
 def test_singular_automorphism_rejected():
     with pytest.raises(ValueError):
         AffineAutomorphism(np.zeros((2, 2)), np.zeros(2))
+
+
+def test_automorphism_holds_float_arrays():
+    T = AffineAutomorphism([[2, 0], [0, 1]], [0, 1])
+    assert isinstance(T.A, np.ndarray) and T.A.dtype == float and T.A.shape == (2, 2)
+    assert isinstance(T.b, np.ndarray) and T.b.dtype == float and T.b.shape == (2,)
+    assert np.array_equal(T([1, 1]), [2.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: TensorField.constant(np.eye(2)), "func"),
+        (lambda: preset("orthant2").domain, "box"),
+        (lambda: AffineAutomorphism(np.eye(2), np.zeros(2)), "A"),
+        (lambda: parse_expression("x1+1", VARS), "ast"),
+        (lambda: build_kahler_lift(preset("orthant2").can), "omega"),
+        (lambda: parse_expression("x1+1", VARS).ast, "left"),
+    ],
+    ids=["TensorField", "Domain", "AffineAutomorphism", "ScalarExpression", "KahlerLift", "BinOp"],
+)
+def test_value_records_are_immutable(build, field):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
 
 
 def test_positive_definite_helpers():
